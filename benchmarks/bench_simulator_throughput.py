@@ -7,13 +7,13 @@ workload per suite on both deployed consume paths:
 * ``legacy`` — the tuple-at-a-time path (``REPRO_LEGACY_CONSUME=1``):
   build the workload program and generate + consume per-op tuples,
   every run.
-* ``batched`` — the default path against a *warm* trace store: the op
+* ``batched`` — the Python fallback path against a *warm* trace store: the op
   stream is decoded from the recorded SoA chunks and run through
   ``Core.consume_stream``; the workload program is never built.  This
   is what a second machine config of a multi-machine suite pays.
 * ``vector`` — the same warm-replay path through the native columnar
   kernel (``repro.uarch.native``), the engine behind
-  ``consume_stream(engine="vector")``.
+  ``consume_stream(engine="vector")`` and the default.
 
 All paths produce bit-identical results (asserted here per workload,
 and exhaustively by tests/integration/test_batched_equivalence.py), so

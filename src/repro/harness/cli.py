@@ -88,9 +88,11 @@ def main(argv: list[str] | None = None) -> int:
                         choices=["legacy", "batched", "vector"],
                         default=os.environ.get("REPRO_ENGINE") or None,
                         help="consume engine: tuple-at-a-time (legacy), "
-                             "SoA chunks (batched, default), or the "
-                             "native columnar kernel (vector); all are "
-                             "bit-identical (default: $REPRO_ENGINE)")
+                             "SoA chunks in Python (batched), or the "
+                             "native C kernel (vector, the default, which "
+                             "falls back to batched with a warning when "
+                             "it cannot run); all are bit-identical "
+                             "(default: $REPRO_ENGINE, else vector)")
     parser.add_argument("--instructions", type=int, default=150_000,
                         help="measured instruction budget")
     parser.add_argument("--warmup", type=int, default=60_000)

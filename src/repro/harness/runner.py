@@ -17,7 +17,7 @@ load), which feeds the §IV-C score validation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro import obs
 from repro.kernel.vm import VirtualMemory
@@ -43,12 +43,18 @@ def resolve_engine(engine: str | None) -> str:
     """Resolve the consume-engine choice to one of :data:`ENGINES`.
 
     Priority: explicit ``engine`` argument > ``REPRO_ENGINE`` env var >
-    ``REPRO_LEGACY_CONSUME=1`` (the historical toggle) > ``"batched"``.
-    ``"vector"`` selects the native columnar kernel
-    (:mod:`repro.uarch.native`); it transparently falls back to the
-    batched path when the kernel is unavailable or the core uses a
-    configuration the kernel does not model, so resolution never fails
-    at this layer.  All engines are bit-identical (enforced by
+    ``REPRO_LEGACY_CONSUME=1`` (the historical toggle) > ``"vector"``.
+    ``"vector"``, the default, selects the native C kernel
+    (:mod:`repro.uarch.native`), compiled with the system compiler on
+    first use and cached.  When the kernel is unavailable (no compiler,
+    ``REPRO_NATIVE=0``) or the core uses a configuration the kernel does
+    not model, the run falls back to the batched Python engine — loudly:
+    one :class:`~repro.uarch.native.NativeFallbackWarning` per process
+    per reason, a ``native.delegated{reason=...}`` counter, and
+    ``RunResult.engine`` names the engine that actually ran.  On hosts
+    with no compiler, ``REPRO_ENGINE=batched`` selects the Python
+    engine outright.  Resolution never fails on availability at this
+    layer.  All engines are bit-identical (enforced by
     tests/integration/test_batched_equivalence.py).
     """
     if engine is None:
@@ -56,7 +62,7 @@ def resolve_engine(engine: str | None) -> str:
     if engine is None and os.environ.get("REPRO_LEGACY_CONSUME",
                                          "0") not in ("", "0"):
         engine = "legacy"
-    engine = engine or "batched"
+    engine = engine or "vector"
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     return engine
@@ -99,6 +105,10 @@ class RunResult:
     topdown: TopDownProfile
     seconds: float
     samples: SampleSeries | None = None
+    #: engine the measure phase actually ran ("legacy", "batched" or
+    #: "vector"); not compared, so results from different engines that
+    #: agree bit-for-bit stay equal
+    engine: str | None = field(default=None, compare=False)
 
     @property
     def name(self) -> str:
@@ -140,8 +150,10 @@ def run_workload(spec: WorkloadSpec, machine: MachineConfig,
     store's checksum — e.g. a legacy entry without one) is quarantined
     and the run falls back to regenerating the trace instead of
     propagating the decode error.  ``engine`` selects the consume path
-    (see :func:`resolve_engine`; default batched, ``"vector"`` for the
-    native columnar kernel, legacy when ``REPRO_LEGACY_CONSUME=1``).
+    (see :func:`resolve_engine`; default ``"vector"``, the native C
+    kernel, falling back to batched; legacy when
+    ``REPRO_LEGACY_CONSUME=1``).  ``RunResult.engine`` records the engine
+    that actually ran.
     """
     fidelity = fidelity or Fidelity.default()
     heap_config, gc_config = _heap_and_gc(spec, heap_config, gc_config)
@@ -249,7 +261,8 @@ def run_workload(spec: WorkloadSpec, machine: MachineConfig,
         return RunResult(
             spec=spec, machine=machine, counters=counters,
             topdown=profile_core(core),
-            seconds=counters.seconds, samples=samples)
+            seconds=counters.seconds, samples=samples,
+            engine=core.last_engine)
 
     if trace_key is None:
         return attempt()

@@ -13,6 +13,7 @@ observation arises in this model.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from repro.trace import PAGE_SIZE
@@ -37,6 +38,15 @@ class VmStats:
 class VirtualMemory:
     """Tracks which virtual pages of one address space are mapped.
 
+    Mapped pages live in two disjoint stores:
+
+    * premapped memory as a sorted list of disjoint, merged page ranges
+      (``_starts[i] <= vpn < _ends[i]``) — SPEC's static working set is
+      one range of ~10^5-10^6 pages, so it costs two ints instead of a
+      set entry per page;
+    * demand-faulted pages in ``_demand``, a set that never holds a page
+      inside a range (a premap over faulted pages absorbs them).
+
     ``major_fault_fraction`` models the small fraction of faults that hit
     backing storage (file-backed code pages on first load).
     """
@@ -53,11 +63,36 @@ class VirtualMemory:
                  major_fault_fraction: float = 0.002) -> None:
         self.page_size = page_size
         self._page_shift = page_size.bit_length() - 1
-        self._mapped: set[int] = set()
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+        self._demand: set[int] = set()
         self.major_fault_fraction = major_fault_fraction
         self.stats = VmStats()
         self._fault_seq = 0
-        self._map_epoch = 0          # bumped on page removal (see below)
+        # Bumped on every premap/unmap.  With len(_demand) it forms the
+        # key repro.uarch.native caches its exported page table on:
+        # touches only ever grow the demand set, so any other change to
+        # the mapping goes through a premap or unmap and bumps this.
+        self._map_epoch = 0
+
+    def _in_ranges(self, vpn: int) -> bool:
+        i = bisect_right(self._starts, vpn) - 1
+        return i >= 0 and vpn < self._ends[i]
+
+    def _pages(self, start: int, length: int) -> tuple[int, int]:
+        """Half-open page span ``[lo, hi)`` covering the byte range."""
+        lo = start >> self._page_shift
+        return lo, ((start + max(length, 1) - 1) >> self._page_shift) + 1
+
+    def _take_demand(self, lo: int, hi: int) -> int:
+        """Drop demand pages in ``[lo, hi)``; return how many there were."""
+        demand = self._demand
+        if hi - lo <= len(demand):
+            hits = demand.intersection(range(lo, hi))
+        else:
+            hits = {v for v in demand if lo <= v < hi}
+        demand.difference_update(hits)
+        return len(hits)
 
     def touch(self, addr: int) -> int:
         """Record an access to ``addr``.
@@ -66,9 +101,9 @@ class VirtualMemory:
         already mapped).
         """
         vpn = addr >> self._page_shift
-        if vpn in self._mapped:
+        if vpn in self._demand or self._in_ranges(vpn):
             return 0
-        self._mapped.add(vpn)
+        self._demand.add(vpn)
         self.stats.mapped_pages += 1
         self._fault_seq += 1
         # Deterministic "every Nth fault is major" approximation.
@@ -80,7 +115,8 @@ class VirtualMemory:
         return self.MINOR_FAULT_CYCLES
 
     def is_mapped(self, addr: int) -> bool:
-        return (addr >> self._page_shift) in self._mapped
+        vpn = addr >> self._page_shift
+        return vpn in self._demand or self._in_ranges(vpn)
 
     def premap_range(self, start: int, length: int) -> None:
         """Map ``[start, start+length)`` without faulting.
@@ -88,30 +124,44 @@ class VirtualMemory:
         Used for warm regions measurement should not see faults for (e.g.
         SPEC's statically initialized working set, the kernel image).
         """
-        first = start >> self._page_shift
-        last = (start + max(length, 1) - 1) >> self._page_shift
-        mapped = self._mapped
-        before = len(mapped)
-        mapped.update(range(first, last + 1))
-        self.stats.mapped_pages += len(mapped) - before
+        lo, hi = self._pages(start, length)
+        starts, ends = self._starts, self._ends
+        # Ranges i..j-1 overlap or abut [lo, hi); they merge into one.
+        i = bisect_left(ends, lo)
+        j = bisect_right(starts, hi)
+        covered = sum(max(0, min(e, hi) - max(s, lo))
+                      for s, e in zip(starts[i:j], ends[i:j]))
+        fresh = hi - lo - covered - self._take_demand(lo, hi)
+        if i < j:
+            lo, hi = min(lo, starts[i]), max(hi, ends[j - 1])
+        starts[i:j] = [lo]
+        ends[i:j] = [hi]
+        self.stats.mapped_pages += fresh
+        self._map_epoch += 1
 
     def unmap_range(self, start: int, length: int) -> None:
         """Decommit pages (heap shrink after GC); future touches fault again."""
-        first = start >> self._page_shift
-        last = (start + max(length, 1) - 1) >> self._page_shift
-        mapped = self._mapped
-        before = len(mapped)
-        mapped.difference_update(range(first, last + 1))
-        self.stats.unmapped_pages += before - len(mapped)
-        # Removals are the one mutation a (len, epoch) cache key cannot
-        # see through set length alone (remove+add keeps len constant),
-        # so they bump the epoch.  repro.uarch.native keys its exported
-        # page-table hash on it to skip rebuilds across consume calls.
+        lo, hi = self._pages(start, length)
+        starts, ends = self._starts, self._ends
+        # Ranges i..j-1 overlap [lo, hi); the parts outside it survive,
+        # so a range straddling both edges splits in two.
+        i = bisect_right(ends, lo)
+        j = bisect_left(starts, hi)
+        removed = self._take_demand(lo, hi)
+        if i < j:
+            removed += sum(min(e, hi) - max(s, lo)
+                           for s, e in zip(starts[i:j], ends[i:j]))
+            keep = [(s, e) for s, e in ((starts[i], lo), (hi, ends[j - 1]))
+                    if s < e]
+            starts[i:j] = [s for s, _ in keep]
+            ends[i:j] = [e for _, e in keep]
+        self.stats.unmapped_pages += removed
         self._map_epoch += 1
 
     @property
     def resident_bytes(self) -> int:
-        return len(self._mapped) * self.page_size
+        ranged = sum(e - s for s, e in zip(self._starts, self._ends))
+        return (ranged + len(self._demand)) * self.page_size
 
     def reset_stats(self) -> None:
         self.stats = VmStats()

@@ -226,7 +226,9 @@ def records_for_suite(results, *, machine, fidelity, engine: str,
 
     Keys each record with the scheduler's cost key so histories line
     up with what the fleet already tracks, and stamps the engine and
-    fidelity spelling the series forks on.
+    fidelity spelling the series forks on.  The engine is the one each
+    run actually used (``RunResult.engine``), falling back to
+    ``engine`` for results that do not record it.
     """
     from repro.exec.costmodel import cost_key
     from repro.exec.jobs import JobSpec
@@ -237,7 +239,8 @@ def records_for_suite(results, *, machine, fidelity, engine: str,
         job = JobSpec(spec=r.spec, machine=machine, fidelity=fidelity,
                       seed=seed)
         out.append(make_record(
-            key=cost_key(job), workload=r.spec.name, engine=engine,
+            key=cost_key(job), workload=r.spec.name,
+            engine=getattr(r, "engine", None) or engine,
             fidelity=fid, sim_seconds=r.seconds, cpi=r.counters.cpi,
             wall_seconds=getattr(r, "wall_seconds", None),
             meta={"machine": machine.name, "seed": seed}))

@@ -42,6 +42,7 @@ enum {
     P_SPF_PAGE, P_SPF_LINE,
     P_DRAM_ROWS, P_DRAM_ST,
     P_VM_HASH, P_VM_LOG,
+    P_VM_RANGES,                    /* [start_0, end_0, start_1, ...] */
     P_LLC_EPOCH,                    /* [epoch_total, slice_0..slice_{n-1}] */
     P_N
 };
@@ -99,6 +100,7 @@ enum {
     PI_LP_MAX, PI_LP_HMASK, PI_VM_HMASK, PI_MAJOR_PERIOD,
     PI_DRAM_BANKS, PI_DRAM_ROWSZ, PI_SPF_MAX, PI_SPF_DEG,
     PI_LLC_SLICES,                  /* 0 = private LLC (no counting) */
+    PI_VM_NRANGES,                  /* premapped page ranges */
     PI_CACHE0,                      /* 5 x (mask, ways, lru, evict_head) */
     PI_TLB0 = PI_CACHE0 + 20,      /* 3 x (mask, ways) */
     PI_N = PI_TLB0 + 6
@@ -140,6 +142,7 @@ typedef struct {
     i64 *spf_page, *spf_line;
     i64 *dram_rows, *dram_st;
     i64 *vm_hash, *vm_log;
+    const i64 *vm_ranges;           /* sorted disjoint [start, end) pairs */
     i64 *llc_epoch;                 /* shared-LLC epoch + slice counters */
     i64 llc_slices;                 /* 0 disables counting */
     f64 *stalls;                    /* &sd[SD_ST0] */
@@ -286,8 +289,24 @@ static u64 vm_mix(i64 vpn) {
     return h ^ (h >> 29);
 }
 
-/* 0 = mapped already, 1 = minor fault, 2 = major fault */
+/* Premapped memory: is vpn inside one of the sorted, disjoint
+ * [start, end) page ranges?  Binary search for the last start <= vpn. */
+static int vm_in_ranges(const Sim *s, i64 vpn) {
+    const i64 *r = s->vm_ranges;
+    i64 lo = 0, hi = s->pi[PI_VM_NRANGES];
+    while (lo < hi) {
+        i64 mid = (lo + hi) >> 1;
+        if (r[2 * mid] <= vpn) lo = mid + 1;
+        else hi = mid;
+    }
+    return lo > 0 && vpn < r[2 * lo - 1];
+}
+
+/* 0 = mapped already, 1 = minor fault, 2 = major fault.  Runs only on
+ * STLB walks, so the range check before the hash probe is off the hot
+ * path.  The hash holds demand-faulted pages only (none inside a range). */
 static int vm_touch(Sim *s, i64 vpn) {
+    if (vm_in_ranges(s, vpn)) return 0;
     i64 mask = s->pi[PI_VM_HMASK];
     u64 h = vm_mix(vpn) & (u64)mask;
     while (s->vm_hash[h] != -1) {
@@ -705,6 +724,7 @@ i64 repro_sim_run(void **p, i64 start, i64 n_ops, i64 limit) {
     s->dram_st = (i64 *)p[P_DRAM_ST];
     s->vm_hash = (i64 *)p[P_VM_HASH];
     s->vm_log = (i64 *)p[P_VM_LOG];
+    s->vm_ranges = (const i64 *)p[P_VM_RANGES];
     s->llc_epoch = (i64 *)p[P_LLC_EPOCH];
     s->llc_slices = s->pi[PI_LLC_SLICES];
     s->stalls = &s->sd[SD_ST0];
@@ -809,4 +829,4 @@ i64 repro_sim_run(void **p, i64 start, i64 n_ops, i64 limit) {
 }
 
 /* expression parity helper: 1.0 - hit/total as Python evaluates it */
-f64 repro_abi_version(void) { return 9.0; }
+f64 repro_abi_version(void) { return 10.0; }

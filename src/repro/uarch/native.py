@@ -25,7 +25,9 @@ than falling back:
 When the kernel is unavailable (no compiler, ``REPRO_NATIVE=0``) or the
 core uses a configuration the kernel does not model (subclassed shared
 LLC, JIT metadata reactions, non-stock geometry), callers fall back to
-the batched engine, which is itself bit-identical to legacy.
+the batched engine, which is itself bit-identical to legacy.  The
+fallback is loud: :func:`note_delegation` counts it and warns once per
+process per reason.
 """
 
 from __future__ import annotations
@@ -37,11 +39,13 @@ import subprocess
 import tempfile
 import threading
 import time
+import warnings
 
 import numpy as np
 
 from repro import obs
 from repro.kernel.vm import VirtualMemory
+from repro.obs.metrics import labeled
 from repro.uarch.branch import BranchUnit, Btb, GsharePredictor, LoopPredictor
 from repro.uarch.cache import Cache
 from repro.uarch.memory import DramModel
@@ -68,7 +72,8 @@ P_BTB_KEY, P_BTB_TGT, P_BTB_CNT = P_LP_HVAL + 1, P_LP_HVAL + 2, P_LP_HVAL + 3
 P_SPF_PAGE, P_SPF_LINE = P_BTB_CNT + 1, P_BTB_CNT + 2
 P_DRAM_ROWS, P_DRAM_ST = P_SPF_LINE + 1, P_SPF_LINE + 2
 P_VM_HASH, P_VM_LOG = P_DRAM_ST + 1, P_DRAM_ST + 2
-P_LLC_EPOCH = P_VM_LOG + 1         # [epoch_total, slice_0..slice_{n-1}]
+P_VM_RANGES = P_VM_LOG + 1         # [start_0, end_0, start_1, end_1, ...]
+P_LLC_EPOCH = P_VM_RANGES + 1      # [epoch_total, slice_0..slice_{n-1}]
 P_N = P_LLC_EPOCH + 1
 
 (SI_INSTR, SI_KINSTR, SI_BRANCHES, SI_LOADS, SI_STORES,
@@ -106,8 +111,8 @@ PD_N = 27
  PI_BTB_MASK, PI_BTB_WAYS,
  PI_LP_MAX, PI_LP_HMASK, PI_VM_HMASK, PI_MAJOR_PERIOD,
  PI_DRAM_BANKS, PI_DRAM_ROWSZ, PI_SPF_MAX, PI_SPF_DEG,
- PI_LLC_SLICES) = range(14)
-PI_CACHE0 = 14                     # 5 x (mask, ways, lru, evict_head)
+ PI_LLC_SLICES, PI_VM_NRANGES) = range(15)
+PI_CACHE0 = 15                     # 5 x (mask, ways, lru, evict_head)
 PI_TLB0 = PI_CACHE0 + 4 * _NCACHE  # 3 x (mask, ways)
 PI_N = PI_TLB0 + 2 * _NTLB
 
@@ -122,11 +127,14 @@ _C_LLC = 3                         # LLC's index in the caches tuple
 #: ``ops_*`` keys are retirement counters the kernel itself increments
 #: (one aligned int64 add per op) and ``writeback`` drains here, so the
 #: totals survive image teardown; ``vm_hash_builds`` counts the exports
-#: that missed the page-hash cache and rebuilt it from ``vm._mapped``.
+#: that missed the page-table cache and rebuilt it from the vm;
+#: ``delegated_<reason>`` counts vector requests that ran on the batched
+#: engine instead (see :func:`note_delegation`).
 stats = {"consume_calls": 0, "kernel_calls": 0, "hook_exits": 0,
          "sessions": 0, "ops_retired": 0, "vm_hash_builds": 0,
          "ops_block": 0, "ops_branch": 0, "ops_load": 0,
-         "ops_store": 0, "ops_event": 0}
+         "ops_store": 0, "ops_event": 0,
+         "delegated_unavailable": 0, "delegated_unsupported": 0}
 _stats = stats  # alias for scopes where a cache/tlb unpack shadows ``stats``
 
 #: Kernel dispatch order: index ``k`` maps to ``stats["ops_<name>"]``
@@ -254,6 +262,57 @@ def get_lib():
 
 def available() -> bool:
     return get_lib() is not None
+
+
+# ---------------------------------------------------------------------------
+# Loud fallback.
+
+class NativeFallbackWarning(RuntimeWarning):
+    """A vector-engine request ran on the batched Python engine instead."""
+
+
+_FALLBACK_CAUSES = {
+    "unavailable": "the native kernel is unavailable (no C compiler "
+                   "found, or REPRO_NATIVE=0)",
+    "unsupported": "the core's configuration is outside what the native "
+                   "kernel models (see repro.uarch.native.nativizable)",
+}
+_warned: set[str] = set()
+_warned_lock = threading.Lock()
+
+
+def delegation_reason(core) -> str | None:
+    """Why ``core`` cannot run on the kernel, or ``None`` when it can.
+
+    ``"unavailable"``: no kernel in this process.  ``"unsupported"``:
+    :func:`nativizable` rejects the configuration.
+    """
+    if not available():
+        return "unavailable"
+    if not nativizable(core):
+        return "unsupported"
+    return None
+
+
+def note_delegation(reason: str) -> None:
+    """Record one vector request that runs on the batched engine.
+
+    Counts it in ``stats["delegated_<reason>"]`` and the
+    ``native.delegated{reason=...}`` obs counter, and warns once per
+    process per reason.
+    """
+    stats["delegated_" + reason] += 1
+    if obs.enabled():
+        obs.add(labeled("native.delegated", reason=reason))
+    with _warned_lock:
+        first = reason not in _warned
+        _warned.add(reason)
+    if first:
+        warnings.warn(
+            f"engine='vector' requested but {_FALLBACK_CAUSES[reason]}; "
+            "running the bit-identical batched Python engine instead "
+            "(set REPRO_ENGINE=batched to choose it explicitly)",
+            NativeFallbackWarning, stacklevel=3)
 
 
 # ---------------------------------------------------------------------------
@@ -680,40 +739,50 @@ class CoreImage:
         si[SI_VM_MAJ] = vst.major_faults
         si[SI_VM_MAPPED] = vst.mapped_pages
         si[SI_VM_SEQ] = vm._fault_seq
-        si[SI_VM_CNT] = len(vm._mapped)
+        demand = vm._demand
+        si[SI_VM_CNT] = len(demand)
         frac = vm.major_fault_fraction
         pi[PI_MAJOR_PERIOD] = (max(1, round(1 / frac)) if frac > 0 else 0)
-        # The exported page-table hash is the expensive part of an
-        # export on page-heavy workloads (SPEC premaps ~10^6 pages), so
-        # it is cached on the vm instance keyed by (len, epoch): length
-        # catches additions, the epoch catches removals (the one
-        # mutation length can miss — see VirtualMemory.unmap_range).
-        # After a run the hash holds exactly ``_mapped`` (kernel-added
-        # pages are inserted and drained), so consume_stream_native
-        # refreshes the key and the next export reuses the arrays.
-        key = (len(vm._mapped), vm._map_epoch)
+        # The page table goes over as the premapped range list (flat
+        # [start, end) pairs the kernel binary-searches) plus an
+        # open-addressing hash of the demand-faulted pages only, so a
+        # SPEC premap of ~10^6 pages costs two ints, not 4x its size in
+        # hash slots.  Both are cached on the vm instance keyed by
+        # (len(_demand), _map_epoch): touches only grow the demand set,
+        # and every premap/unmap bumps the epoch.  After a run the hash
+        # holds exactly ``_demand`` (kernel-added pages are inserted and
+        # drained), so _finish_image refreshes the key and the next
+        # export reuses the arrays.
+        key = (len(demand), vm._map_epoch)
         cached = getattr(vm, "_native_page_hash", None)
         if cached is not None and cached[0] == key:
-            _, self.vm_hash, self.vm_log = cached
+            _, self.vm_hash, self.vm_log, self.vm_ranges = cached
             pi[PI_VM_HMASK] = len(self.vm_hash) - 1
         else:
             _stats["vm_hash_builds"] += 1
             if _t0 is not None:
                 obs.add("native.vm_hash_builds", 1.0)
-            cap = _next_pow2(4 * (len(vm._mapped) + 64))
+            cap = _next_pow2(4 * (len(demand) + 64))
             pi[PI_VM_HMASK] = cap - 1
             self.vm_hash = np.full(cap, -1, dtype=np.int64)
-            if vm._mapped:
-                keys = np.fromiter(vm._mapped, dtype=np.int64,
-                                   count=len(vm._mapped))
+            if demand:
+                keys = np.fromiter(demand, dtype=np.int64,
+                                   count=len(demand))
                 get_lib().repro_vm_build(keys.ctypes.data, len(keys),
                                          self.vm_hash.ctypes.data, cap - 1)
             # Scratch: the kernel writes entries before bumping the
             # count, so the log never needs zero-filling.
             self.vm_log = np.empty(cap, dtype=np.int64)
-            vm._native_page_hash = (key, self.vm_hash, self.vm_log)
+            self.vm_ranges = np.zeros(max(2, 2 * len(vm._starts)),
+                                      dtype=np.int64)
+            self.vm_ranges[0:2 * len(vm._starts):2] = vm._starts
+            self.vm_ranges[1:2 * len(vm._ends):2] = vm._ends
+            vm._native_page_hash = (key, self.vm_hash, self.vm_log,
+                                    self.vm_ranges)
+        pi[PI_VM_NRANGES] = len(vm._starts)
         self._set_ptr(P_VM_HASH, self.vm_hash)
         self._set_ptr(P_VM_LOG, self.vm_log)
+        self._set_ptr(P_VM_RANGES, self.vm_ranges)
 
         self._set_ptr(P_SI, si)
         self._set_ptr(P_SD, sd)
@@ -747,7 +816,7 @@ class CoreImage:
     def _drain_vm_log(self) -> None:
         n = int(self.si[SI_VM_LOGN])
         if n:
-            self.core.vm._mapped.update(self.vm_log[:n].tolist())
+            self.core.vm._demand.update(self.vm_log[:n].tolist())
             self.si[SI_VM_LOGN] = 0
 
     def refresh_contention(self) -> None:
@@ -989,17 +1058,17 @@ def _columns(buf):
 # Driver.
 
 def _finish_image(img) -> None:
-    """Write an image back and refresh the VM page-hash reuse key.
+    """Write an image back and refresh the VM page-table reuse key.
 
-    After writeback the hash holds exactly ``vm._mapped`` (kernel
-    inserts were drained), so the next export reuses the arrays — which
-    is what keeps hook-trampoline rebuilds cheap on page-heavy
-    workloads.  See CoreImage's vm export.
+    After writeback the hash holds exactly ``vm._demand`` (kernel
+    inserts were drained) and the range list is untouched, so the next
+    export reuses the arrays — which is what keeps hook-trampoline
+    rebuilds cheap.  See CoreImage's vm export.
     """
     img.writeback()
     vm = img.core.vm
-    vm._native_page_hash = ((len(vm._mapped), vm._map_epoch),
-                            img.vm_hash, img.vm_log)
+    vm._native_page_hash = ((len(vm._demand), vm._map_epoch),
+                            img.vm_hash, img.vm_log, img.vm_ranges)
 
 
 def consume_stream_native(core, stream, max_instructions=None) -> int:

@@ -197,6 +197,9 @@ class Core:
         self._next_hook_cycles = float("inf")
         self.event_hook = None           # callable(kind, payload, cycles)
         self._ideal_cycles = 0.0
+        #: engine the latest consume call actually ran ("legacy",
+        #: "batched" or "vector"); None before the first call
+        self.last_engine = None
 
     # ------------------------------------------------------------------
     def set_hints(self, hints: WorkloadHints) -> None:
@@ -471,6 +474,7 @@ class Core:
         Returns the number of instructions executed.  Stops early once
         ``max_instructions`` is reached (checked at block granularity).
         """
+        self.last_engine = "legacy"
         start = self.counts.instructions
         limit = (start + max_instructions
                  if max_instructions is not None else None)
@@ -518,16 +522,23 @@ class Core:
         includes armed cycle hooks (the kernel exits with a ``HOOK``
         resume code, the hook runs in Python against written-back state,
         and the kernel re-enters) and the stock shared LLC (slice
-        counting in C, contention math in Python).  Any other case
-        silently falls back to the batched loop below, which handles the
-        full model.  Both engines are bit-identical to the legacy path,
-        so the choice is purely a throughput knob.
+        counting in C, contention math in Python).  Any other case falls
+        back to the batched loop below, which handles the full model —
+        loudly: :func:`repro.uarch.native.note_delegation` counts every
+        fallback under ``native.delegated{reason=...}`` and warns once
+        per process per reason.  Both engines are bit-identical to the
+        legacy path, so the choice is purely a throughput knob;
+        :attr:`last_engine` records which one ran.
         """
         if engine == "vector":
             from repro.uarch import native
-            if native.available() and native.nativizable(self):
+            reason = native.delegation_reason(self)
+            if reason is None:
+                self.last_engine = "vector"
                 return native.consume_stream_native(self, stream,
                                                     max_instructions)
+            native.note_delegation(reason)
+        self.last_engine = "batched"
         counts = self.counts
         start = counts.instructions
         limit = (start + max_instructions

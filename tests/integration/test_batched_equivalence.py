@@ -99,6 +99,11 @@ def _state(core) -> dict:
     d["last_code_page"] = core._last_code_page
     d["last_data_vpn"] = core._last_data_vpn
     d["kernel_mode"] = bool(core._kernel_mode)
+    vm = core.vm
+    d["vm.stats"] = repr(vm.stats)
+    d["vm.ranges"] = repr(list(zip(vm._starts, vm._ends)))
+    d["vm.demand"] = repr(sorted(vm._demand))
+    d["vm.seq"] = vm._fault_seq
     return d
 
 
@@ -173,20 +178,21 @@ def test_env_toggle_selects_legacy(monkeypatch):
 
 
 def test_env_toggle_selects_vector(monkeypatch):
-    """REPRO_ENGINE=vector routes the default path through the native
-    kernel (or its fallback) and stays bit-identical; an explicit
-    ``engine=`` argument still wins over the environment."""
+    """REPRO_ENGINE=vector selects the native kernel (or its loud
+    fallback), the engine the default also resolves to, and stays
+    bit-identical to the batched engine; an explicit ``engine=``
+    argument still wins over the environment."""
     from repro.harness.runner import Fidelity, resolve_engine, run_workload
     machine = get_machine("i9")
     fid = Fidelity.test()
     spec = _spec_of("Json")
-    default = run_workload(spec, machine, fid)
+    batched = run_workload(spec, machine, fid, engine="batched")
     monkeypatch.setenv("REPRO_ENGINE", "vector")
     assert resolve_engine(None) == "vector"
     assert resolve_engine("legacy") == "legacy"
     vector = run_workload(spec, machine, fid)
-    assert default.counters == vector.counters
-    assert default.topdown == vector.topdown
+    assert batched.counters == vector.counters
+    assert batched.topdown == vector.topdown
     monkeypatch.setenv("REPRO_ENGINE", "warp")
     with pytest.raises(ValueError, match="unknown engine"):
         run_workload(spec, machine, fid)

@@ -7,8 +7,11 @@ seams that real streams rarely stress deterministically:
 * ops split across chunk boundaries at every offset (chunk size 1),
 * an instruction limit landing inside a vectorized span, then resuming,
 * chunks whose first/last op is the interesting one, empty buffers,
-* the ``REPRO_NATIVE=0`` kill switch and the delegation guard
-  (:func:`repro.uarch.native.nativizable`),
+* the ``REPRO_NATIVE=0`` kill switch, the delegation guard
+  (:func:`repro.uarch.native.nativizable`) and the loud fallback of the
+  default engine,
+* premapped page ranges: the kernel's range check, a range split
+  between warmup and measure, and demand pages at range edges,
 * virtual-memory hash growth mid-run (first-touch floods),
 * non-default replacement policies (FIFO, RANDOM's deterministic LCG).
 
@@ -188,8 +191,8 @@ def test_replacement_policies(policy):
 
 
 def test_native_disabled_falls_back(monkeypatch):
-    """REPRO_NATIVE=0 disables the kernel; engine="vector" silently
-    takes the batched path and stays bit-identical."""
+    """REPRO_NATIVE=0 disables the kernel; engine="vector" takes the
+    batched path (with a fallback warning) and stays bit-identical."""
     monkeypatch.setenv("REPRO_NATIVE", "0")
     saved = native._lib, native._lib_resolved
     native._lib, native._lib_resolved = None, False
@@ -220,7 +223,8 @@ def test_nativizable_guards():
                   shared_llc=SharedLlc(machine), core_id=0)
     assert native.nativizable(shared)
 
-    # A subclassed/unknown shared LLC still delegates silently.
+    # A subclassed/unknown shared LLC still delegates (loudly, at run
+    # time: see test_unsupported_config_falls_back_loudly).
     weird = Core(machine, VirtualMemory())
     weird.shared_llc = object()
     assert not native.nativizable(weird)
@@ -352,8 +356,8 @@ def test_hook_with_limits_resumes_exactly():
 @pytest.mark.parametrize("case", ["small-interval", "mutating",
                                   "chunk-boundary"])
 def test_hook_parity_with_native_disabled(monkeypatch, case):
-    """REPRO_NATIVE=0: the same hooked runs silently take the batched
-    path and stay bit-identical to legacy."""
+    """REPRO_NATIVE=0: the same hooked runs take the batched path and
+    stay bit-identical to legacy."""
     monkeypatch.setenv("REPRO_NATIVE", "0")
     saved = native._lib, native._lib_resolved
     native._lib, native._lib_resolved = None, False
@@ -372,3 +376,149 @@ def test_hook_parity_with_native_disabled(monkeypatch, case):
         assert exits == 0                  # kernel never entered
     finally:
         native._lib, native._lib_resolved = saved
+
+
+# ---------------------------------------------------------------------------
+# Premapped page ranges: the kernel's range check, the page-table reuse
+# key and the demand-page drain.
+
+_DATA = 0x3000_0000
+_RANGES = ((256, 2048), (2560, 3000))     # premapped [start, end) pages
+_EDGES = (255, 256, 2047, 2048, 2559, 2560, 2999, 3000)
+_SPLIT = (1200, 1210)                     # unmapped between the phases
+
+
+def _ranged_ops(n: int, seed: int):
+    """Loads/stores over 4096 data pages (wider than the STLB, so pages
+    keep walking and touching the VM), every range edge page and its
+    outside neighbour among them, plus code blocks that fault in
+    demand pages."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        r = rng.random()
+        if r < 0.15:
+            page = rng.choice(_EDGES)
+        else:
+            page = rng.randrange(4096)
+        addr = _DATA + page * 4096 + rng.randrange(4096)
+        out.append((OP_STORE if r > 0.8 else OP_LOAD, addr))
+        if i % 5 == 0:
+            out.append((OP_BLOCK, 0x0010_0000 + rng.randrange(512) * 64,
+                        rng.randrange(1, 12), rng.randrange(4, 120),
+                        False))
+    return out
+
+
+def _ranged_run(engine: str, ops) -> tuple[Core, int]:
+    vm = VirtualMemory(major_fault_fraction=0.05)
+    core = Core(get_machine("i9"), vm)
+    for lo, hi in _RANGES:
+        vm.premap_range(_DATA + lo * 4096, (hi - lo) * 4096)
+    vm.touch(_DATA + 255 * 4096)              # demand pages abutting
+    vm.touch(_DATA + 3000 * 4096 + 17)        # both outer edges
+    before = native.stats["vm_hash_builds"]
+    stream = TraceBufferStream(ops=iter(ops), chunk_instructions=4096)
+    core.consume_stream(stream, max_instructions=6000, engine=engine)
+    core.reset_stats()
+    lo, hi = _SPLIT                           # heap shrink splits a range
+    vm.unmap_range(_DATA + lo * 4096, (hi - lo) * 4096)
+    core.consume_stream(stream, engine=engine)
+    return core, native.stats["vm_hash_builds"] - before
+
+
+@needs_native
+def test_premapped_ranges_vector_matches_batched():
+    """Full-state diff, vector against batched, on a VM with premapped
+    ranges, demand pages next to every range edge, and an unmap that
+    splits a range between warmup and measure."""
+    ops = _ranged_ops(12000, seed=41)
+    batched, _ = _ranged_run("batched", ops)
+    vector, builds = _ranged_run("vector", ops)
+    sb, sv = _state(batched), _state(vector)
+    diffs = {k: (sb[k], sv[k]) for k in sb if sb[k] != sv[k]}
+    assert not diffs, f"state diverged: {dict(list(diffs.items())[:4])}"
+    # The split really happened, the kernel faulted pages back in inside
+    # the split and drained them, and the unmap invalidated the exported
+    # page table (one build per phase).
+    base = _DATA >> 12
+    vm = vector.vm
+    assert list(zip(vm._starts, vm._ends)) == [
+        (base + 256, base + 1200), (base + 1210, base + 2048),
+        (base + 2560, base + 3000)]
+    assert {base + 255, base + 3000} <= vm._demand
+    assert any(base + p in vm._demand for p in range(*_SPLIT))
+    assert vm.stats.faults > 0
+    assert builds == 2
+
+
+# ---------------------------------------------------------------------------
+# The default engine and its loud fallback.
+
+def test_default_engine_is_vector(monkeypatch):
+    from repro.harness.runner import resolve_engine
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    monkeypatch.delenv("REPRO_LEGACY_CONSUME", raising=False)
+    assert resolve_engine(None) == "vector"
+
+
+@needs_native
+def test_default_run_reports_vector(monkeypatch):
+    from repro.harness.runner import Fidelity, run_workload
+    from test_batched_equivalence import _spec_of
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    monkeypatch.delenv("REPRO_LEGACY_CONSUME", raising=False)
+    r = run_workload(_spec_of("System.Runtime"), get_machine("i9"),
+                     Fidelity.test())
+    assert r.engine == "vector"
+
+
+def test_default_run_falls_back_loudly(monkeypatch, tmp_path):
+    """With no kernel, a default run is bit-identical to batched, warns
+    once per process, counts every delegated consume call, and reports
+    the engine that actually ran."""
+    from repro import obs
+    from repro.harness.runner import Fidelity, run_workload
+    from repro.obs.metrics import labeled
+    from test_batched_equivalence import _spec_of
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    monkeypatch.delenv("REPRO_LEGACY_CONSUME", raising=False)
+    spec, machine, fid = _spec_of("Json"), get_machine("i9"), Fidelity.test()
+    ref = run_workload(spec, machine, fid, engine="batched")
+
+    monkeypatch.setattr(native, "available", lambda: False)
+    monkeypatch.setattr(native, "_warned", set())
+    obs.configure(tmp_path / "obs", spans=False)
+    try:
+        before = dict(native.stats)
+        with pytest.warns(native.NativeFallbackWarning) as caught:
+            runs = [run_workload(spec, machine, fid) for _ in range(2)]
+        counters = obs.metrics_snapshot()["counters"]
+    finally:
+        obs.shutdown(dump=False)
+    delta = native.stats["delegated_unavailable"] \
+        - before["delegated_unavailable"]
+
+    assert [w.category for w in caught] == [native.NativeFallbackWarning]
+    assert "unavailable" in str(caught[0].message)
+    assert delta == 4                      # warmup + measure, two runs
+    assert counters[labeled("native.delegated", reason="unavailable")] \
+        == delta
+    assert native.stats["kernel_calls"] == before["kernel_calls"]
+    for r in runs:
+        assert r.engine == "batched"
+        assert (r.counters, r.topdown) == (ref.counters, ref.topdown)
+        assert r == ref
+
+
+def test_unsupported_config_falls_back_loudly(monkeypatch):
+    """A configuration nativizable() rejects warns under its own reason."""
+    monkeypatch.setattr(native, "_warned", set())
+    core = Core(get_machine("i9"), VirtualMemory())
+    core.l1d_prefetcher.fetch = lambda addr: None   # rebound callback
+    before = native.stats["delegated_unsupported"]
+    stream = TraceBufferStream(ops=iter(_ops(200, seed=9)))
+    with pytest.warns(native.NativeFallbackWarning, match="nativizable"):
+        core.consume_stream(stream, engine="vector")
+    assert native.stats["delegated_unsupported"] == before + 1
+    assert core.last_engine == "batched"
