@@ -55,9 +55,11 @@ _SLACK = 1.10
 
 #: generation-side subtrees/modules, relative to the ``repro`` package —
 #: the microarchitecture (uarch/, most of perf/, harness/, exec/) never
-#: influences the op stream and must not invalidate traces
-_TRACE_SOURCES = ("trace.py", "seeding.py", "codegen.py", "workloads",
-                  "runtime", "kernel", "perf/trace_io.py")
+#: influences the op stream and must not invalidate traces.  The native
+#: walker (``_codegen.c``) generates the op stream by default, so it is
+#: one of them; the consume kernel (``uarch/_kernel.c``) is not.
+_TRACE_SOURCES = ("trace.py", "seeding.py", "codegen.py", "_codegen.c",
+                  "workloads", "runtime", "kernel", "perf/trace_io.py")
 
 _TRACE_FPRINT: dict[Path, str] = {}
 

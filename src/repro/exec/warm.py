@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from array import array
 from collections import OrderedDict
 
 from repro import obs
@@ -59,22 +60,28 @@ def file_identity(path) -> tuple | None:
     return (st.st_ino, st.st_size, st.st_mtime_ns)
 
 
-def _owned_copy(buf):
-    """A sealed buffer whose columns own their memory.
+def _owned_column(col):
+    """``col`` if it owns its memory, else a byte-for-byte copy.
 
-    List-backed buffers already do; zero-copy (memoryview) columns are
-    copied byte-for-byte into fresh memoryviews, preserving the exact
-    indexing semantics (native Python ints out).
+    Array and list columns own theirs.  Zero-copy replay columns are
+    memoryviews over a trace file (one byte per op for the opcodes,
+    int64 for the rest); the copy keeps the view's format, so indexing
+    still yields the same native Python ints.
     """
+    if isinstance(col, (array, list)):
+        return col
+    owned = memoryview(bytes(col))
+    return owned if col.format == "B" else owned.cast(col.format)
+
+
+def _owned_copy(buf):
+    """A sealed buffer whose columns own their memory."""
     from repro.trace import TraceBuffer
-    if isinstance(buf.a0, list):
+    cols = (buf.kinds, buf.a0, buf.a1, buf.a2)
+    owned = tuple(map(_owned_column, cols))
+    if all(o is c for o, c in zip(owned, cols)):
         return buf
-    new = TraceBuffer.from_columns(
-        memoryview(bytes(buf.kinds)),
-        memoryview(bytes(buf.a0)).cast("q"),
-        memoryview(bytes(buf.a1)).cast("q"),
-        memoryview(bytes(buf.a2)).cast("q"),
-        buf.events, buf.n_instructions)
+    new = TraceBuffer.from_columns(*owned, buf.events, buf.n_instructions)
     # seal() products are fresh numpy allocations, never file-backed.
     new.lines = buf.lines
     new.line_ends = buf.line_ends

@@ -10,12 +10,13 @@ paper attributes it "primarily ... to the code in the networking stack".
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 
-from repro.codegen import CodeRegion, MixProfile
+from repro.codegen import CodeRegion, MetaRingAddress, MixProfile
 from repro.seeding import stable_seed
-from repro.trace import (OP_BLOCK, OP_BRANCH, OP_LOAD, OP_STORE,
-                         REGION_KERNEL_CODE_BASE, REGION_KERNEL_DATA_BASE)
+from repro.trace import (REGION_KERNEL_CODE_BASE, REGION_KERNEL_DATA_BASE,
+                         pulled)
 
 
 class SyscallKind:
@@ -100,8 +101,15 @@ class SyscallModel:
         self._meta_bytes = 256 * 1024
         self._buf_base = self._meta_base + self._meta_bytes
         # Per-connection kernel structures are revisited heavily within a
-        # syscall (sk_buff headers, socket state): burst-reuse ring.
-        self._meta_ring: list[int] = []
+        # syscall (sk_buff headers, socket state): burst-reuse FIFO of 8
+        # lines, fill state [length, head] (see repro.codegen.fifo_push).
+        self._meta_ring = array("q", bytes(8 * 8))
+        self._meta_state = array("q", bytes(16))
+
+    def _meta_model(self, rng: random.Random) -> MetaRingAddress:
+        """Address model of one handler walk over the metadata ring."""
+        return MetaRingAddress(rng, self._meta_ring, self._meta_state,
+                               self._meta_base, self._meta_bytes // _LINE)
 
     # ------------------------------------------------------------------
     def _acquire_buffer(self) -> int:
@@ -121,74 +129,21 @@ class SyscallModel:
     # ------------------------------------------------------------------
     def emit(self, kind: str, rng: random.Random, payload_bytes: int = 0,
              user_buffer: int = 0):
-        """Yield the op stream for one syscall invocation.
+        """Yield the op stream for one syscall invocation (pull form of
+        :meth:`emit_into`)."""
+        return pulled(self.emit_into, kind, rng, payload_bytes, user_buffer)
+
+    def emit_into(self, buf, kind: str, rng: random.Random,
+                  payload_bytes: int = 0, user_buffer: int = 0) -> None:
+        """Push the op stream for one syscall invocation.
 
         ``payload_bytes`` drives the copy loop for data-moving syscalls;
         ``user_buffer`` is the user-space address data is copied to/from.
         """
         prof = _PROFILES[kind]
         region = self._regions[kind]
-        meta_base = self._meta_base
-        meta_lines = self._meta_bytes // _LINE
-        ring = self._meta_ring
-
-        def meta_load() -> int:
-            if ring and rng.random() < 0.90:
-                return ring[int(rng.random() * len(ring))]
-            addr = meta_base + int(rng.random() ** 2 * meta_lines) * _LINE
-            if len(ring) >= 8:
-                ring.pop(0)
-            ring.append(addr)
-            return addr
-
-        yield from region.walk(rng, prof.base_instructions,
-                               load_addr=meta_load, store_addr=meta_load,
-                               is_kernel=True, entry=0)
-        if prof.touches_buffers and payload_bytes > 0:
-            yield from self._copy_loop(region, rng, payload_bytes,
-                                       user_buffer, to_user=(kind in
-                                       (SyscallKind.RECV, SyscallKind.READ)))
-
-    def _copy_loop(self, region: CodeRegion, rng: random.Random,
-                   payload_bytes: int, user_buffer: int, to_user: bool):
-        """copy_to_user/copy_from_user: sequential line-granular copy."""
-        kbuf = self._acquire_buffer()
-        n_lines = max(1, payload_bytes // _LINE)
-        loop_pc = region.base + region.size_bytes - 64
-        # Unrolled: one load + one store + 2 bookkeeping instrs per line,
-        # one backward branch per 8 lines.
-        for i in range(n_lines):
-            src = (kbuf if to_user else user_buffer) + i * _LINE
-            dst = (user_buffer if to_user else kbuf) + i * _LINE
-            yield (OP_LOAD, src)
-            yield (OP_STORE, dst)
-            yield (OP_BLOCK, loop_pc, 2, 16, True)
-            if i % 8 == 7:
-                yield (OP_BRANCH, loop_pc + 12, loop_pc, i + 1 < n_lines)
-        yield (OP_BRANCH, loop_pc + 12, loop_pc, False)
-
-    # -- push twins (batched emission; see repro.trace.TraceBuffer) ------
-    def emit_into(self, buf, kind: str, rng: random.Random,
-                  payload_bytes: int = 0, user_buffer: int = 0) -> None:
-        """Push twin of :meth:`emit` — same ops, same RNG call order."""
-        prof = _PROFILES[kind]
-        region = self._regions[kind]
-        meta_base = self._meta_base
-        meta_lines = self._meta_bytes // _LINE
-        ring = self._meta_ring
-
-        def meta_load() -> int:
-            if ring and rng.random() < 0.90:
-                return ring[int(rng.random() * len(ring))]
-            addr = meta_base + int(rng.random() ** 2 * meta_lines) * _LINE
-            if len(ring) >= 8:
-                ring.pop(0)
-            ring.append(addr)
-            return addr
-
-        region.walk_into(buf, rng, prof.base_instructions,
-                         load_addr=meta_load, store_addr=meta_load,
-                         is_kernel=True, entry=0)
+        region.walk_into(buf, rng, prof.base_instructions, is_kernel=True,
+                         entry=0, model=self._meta_model(rng))
         if prof.touches_buffers and payload_bytes > 0:
             self._copy_loop_into(buf, region, payload_bytes, user_buffer,
                                  to_user=(kind in (SyscallKind.RECV,
@@ -196,12 +151,14 @@ class SyscallModel:
 
     def _copy_loop_into(self, buf, region: CodeRegion, payload_bytes: int,
                         user_buffer: int, to_user: bool) -> None:
-        """Push twin of :meth:`_copy_loop` (no RNG use at all)."""
+        """copy_to_user/copy_from_user: sequential line-granular copy."""
         kbuf = self._acquire_buffer()
         n_lines = max(1, payload_bytes // _LINE)
         loop_pc = region.base + region.size_bytes - 64
         src_base = kbuf if to_user else user_buffer
         dst_base = user_buffer if to_user else kbuf
+        # Unrolled: one load + one store + 2 bookkeeping instrs per line,
+        # one backward branch per 8 lines.
         for i in range(n_lines):
             buf.load(src_base + i * _LINE)
             buf.store(dst_base + i * _LINE)

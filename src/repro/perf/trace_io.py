@@ -96,12 +96,17 @@ class TraceFormatError(ValueError):
 def _write_chunk(fh, buf: TraceBuffer) -> None:
     n_ops = len(buf.kinds)
     try:
-        kinds = np.asarray(buf.kinds, dtype=np.uint8)
+        kinds = np.asarray(buf.kinds, dtype=np.int64)
         a0 = np.asarray(buf.a0, dtype=np.int64)
         a1 = np.asarray(buf.a1, dtype=np.int64)
         a2 = np.asarray(buf.a2, dtype=np.int64)
     except (OverflowError, ValueError) as exc:
         raise TraceWriteError(f"op column not encodable: {exc}") from exc
+    # Narrow the opcodes to one byte each, checked: casting an int64
+    # column wraps silently where a list of ints would overflow.
+    if n_ops and (int(kinds.min()) < OP_BLOCK or int(kinds.max()) > OP_EVENT):
+        raise TraceWriteError("op kind out of range")
+    kinds = kinds.astype(np.uint8)
     blocks = kinds == OP_BLOCK
     if blocks.any() and int(a1[blocks].max()) >= 1 << 16:
         raise TraceWriteError("block n_instr out of range")
@@ -149,7 +154,7 @@ def record(ops, path, max_instructions: int | None = None) -> int:
             buf = TraceBuffer()
             try:
                 done = buf.fill_from(ops_iter, take)
-            except ValueError as exc:
+            except (OverflowError, ValueError) as exc:
                 raise TraceWriteError(str(exc)) from exc
             if buf.kinds:
                 yield buf

@@ -15,6 +15,7 @@ The model tracks two populations:
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 
 from repro.trace import REGION_HEAP_BASE
@@ -55,7 +56,9 @@ class LongLivedSet:
     """Addresses of the persistent object working set.
 
     ``addrs[i]`` is the current address of logical object ``i``; the
-    access-pattern layer indexes this list with a Zipf-like distribution.
+    access-pattern layer indexes it with a Zipf-like distribution.  It is
+    an int64 ``array`` of fixed length, mutated only by item assignment,
+    so the native trace walker reads it in place.
     ``spread_span`` reports how many bytes of address space the set covers
     — packed it equals ``count * slot``, fragmented it can be many times
     larger.
@@ -64,7 +67,8 @@ class LongLivedSet:
     def __init__(self, count: int, slot_bytes: int, base: int) -> None:
         self.count = count
         self.slot_bytes = slot_bytes
-        self.addrs: list[int] = [base + i * slot_bytes for i in range(count)]
+        self.addrs = array("q", [base + i * slot_bytes
+                                 for i in range(count)])
         self.packed_base = base
 
     def compact(self, new_base: int) -> list[tuple[int, int]]:

@@ -30,11 +30,12 @@ Batched form
 ------------
 
 :class:`TraceBuffer` holds the same operations in structure-of-arrays
-form — four parallel columns (opcode, arg0..arg2) plus an event
-side-table — so the batched consume loop
+form — four parallel int64 array columns (opcode, arg0..arg2) plus an
+event side-table — so the native kernel reads the columns as they are
+and the batched consume loop
 (:meth:`repro.uarch.pipeline.Core.consume_buffer`) can pre-decode
-addresses vectorized and index plain lists instead of unpacking one
-tuple per op.  :class:`TraceBufferStream` chunks an op source into
+addresses vectorized and index columns instead of unpacking one tuple
+per op.  :class:`TraceBufferStream` chunks an op source into
 sealed buffers; :meth:`TraceBuffer.iter_ops` converts back to tuples, so
 either representation can feed either consume path.
 
@@ -50,6 +51,7 @@ uniqueness.
 from __future__ import annotations
 
 import time
+from array import array
 
 import numpy as np
 
@@ -119,7 +121,9 @@ BLOCK_NBYTES_MASK = _KERNEL_BIT - 1
 class TraceBuffer:
     """One chunk of trace operations in structure-of-arrays form.
 
-    Columns (parallel Python lists, one entry per op):
+    Columns (parallel int64 ``array('q')`` columns, one entry per op;
+    the native walker appends to them with one ``frombytes`` each and
+    the native kernel reads them without conversion):
 
     ======== ============== ============== ==============================
     opcode   a0             a1             a2
@@ -142,10 +146,10 @@ class TraceBuffer:
                  "lines", "line_ends", "_vcols")
 
     def __init__(self) -> None:
-        self.kinds: list[int] = []
-        self.a0: list[int] = []
-        self.a1: list[int] = []
-        self.a2: list[int] = []
+        self.kinds = array("q")
+        self.a0 = array("q")
+        self.a1 = array("q")
+        self.a2 = array("q")
         self.events: list[tuple] = []
         self.n_instructions = 0
         self.lines: list[int] | None = None
@@ -280,18 +284,18 @@ class TraceBuffer:
         """
         if not color or not len(self.kinds):
             return
-        kinds = np.asarray(self.kinds, dtype=np.int64)
-        a0 = np.asarray(self.a0, dtype=np.int64)
+        kinds = np.asarray(self.kinds)
+        a0 = np.array(self.a0, dtype=np.int64)     # never alias a column
         mem = (kinds == OP_LOAD) | (kinds == OP_STORE)
         in_span = np.zeros(len(a0), dtype=bool)
         for lo, hi in spans:
             in_span |= (a0 >= lo) & (a0 < hi)
         mask = mem & in_span
         if mask.any():
-            if not a0.flags.writeable:       # zero-copy replay column
-                a0 = a0.copy()
             a0[mask] += color
-            self.a0 = a0.tolist()
+            col = array("q")
+            col.frombytes(a0.view(np.uint8))
+            self.a0 = col
             self.lines = None
             self.line_ends = None
             self._vcols = None
@@ -311,13 +315,13 @@ class TraceBuffer:
             self.lines = lines.tolist()
             self.line_ends = line_ends.tolist()
         else:
-            # Zero-copy (array/memoryview-backed) columns: expose the
-            # derived columns as memoryviews too — indexing a memoryview
-            # yields native Python ints, which the consume fast path
-            # feeds into model state (repr-level bit-identity with the
-            # list-backed decode requires exact int types).
-            self.lines = memoryview(np.ascontiguousarray(lines))
-            self.line_ends = memoryview(np.ascontiguousarray(line_ends))
+            # Array/memoryview columns: expose the derived columns as
+            # memoryviews too — indexing a memoryview yields native
+            # Python ints, which the consume fast path feeds into model
+            # state (repr-level bit-identity with the list-backed decode
+            # requires exact int types).
+            self.lines = memoryview(lines)
+            self.line_ends = memoryview(line_ends)
         if _t0 is not None:
             obs.observe("sim.seal_seconds", time.perf_counter() - _t0)
         return self
@@ -328,9 +332,10 @@ class TraceBuffer:
         """Adopt prebuilt columns (lists, arrays or memoryviews) verbatim.
 
         The zero-copy decode path of :mod:`repro.perf.trace_io` hands
-        ``memoryview`` columns over the trace file bytes; indexing one
-        yields a native Python ``int``, so the consume loops see exactly
-        the values the list-backed columns would hold.
+        ``memoryview`` columns over the trace file bytes (the opcode
+        column one byte per op, the others int64); indexing one yields a
+        native Python ``int``, so the consume loops see exactly the
+        values the array-backed columns would hold.
         """
         buf = cls.__new__(cls)
         buf.kinds = kinds
@@ -343,6 +348,21 @@ class TraceBuffer:
         buf.line_ends = None
         buf._vcols = None
         return buf
+
+
+def pulled(fill, *args, **kwargs):
+    """Pull form of a push emitter: yield, as op tuples, what
+    ``fill(buf, *args, **kwargs)`` pushes into a scratch buffer.
+
+    ``fill`` runs in full on the first ``next()``.  That is equivalent to
+    a generator emitting the same ops one by one because nothing touches
+    the emitter's state (its RNG, heap, live set, recency rings) while
+    the generator is suspended: the program that owns that state is
+    suspended in the same ``yield from`` chain.
+    """
+    buf = TraceBuffer()
+    fill(buf, *args, **kwargs)
+    yield from buf.iter_ops()
 
 
 class TraceBufferStream:

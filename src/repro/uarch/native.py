@@ -40,6 +40,7 @@ import tempfile
 import threading
 import time
 import warnings
+from array import array
 
 import numpy as np
 
@@ -128,13 +129,14 @@ _C_LLC = 3                         # LLC's index in the caches tuple
 #: (one aligned int64 add per op) and ``writeback`` drains here, so the
 #: totals survive image teardown; ``vm_hash_builds`` counts the exports
 #: that missed the page-table cache and rebuilt it from the vm;
-#: ``delegated_<reason>`` counts vector requests that ran on the batched
-#: engine instead (see :func:`note_delegation`).
+#: ``delegated_<reason>`` counts native requests that ran in Python
+#: instead (see :func:`note_delegation`).
 stats = {"consume_calls": 0, "kernel_calls": 0, "hook_exits": 0,
          "sessions": 0, "ops_retired": 0, "vm_hash_builds": 0,
          "ops_block": 0, "ops_branch": 0, "ops_load": 0,
          "ops_store": 0, "ops_event": 0,
-         "delegated_unavailable": 0, "delegated_unsupported": 0}
+         "delegated_unavailable": 0, "delegated_unsupported": 0,
+         "delegated_generation": 0}
 _stats = stats  # alias for scopes where a cache/tlb unpack shadows ``stats``
 
 #: Kernel dispatch order: index ``k`` maps to ``stats["ops_<name>"]``
@@ -165,8 +167,11 @@ def ops_retired() -> int:
 # ---------------------------------------------------------------------------
 # Kernel build & load.
 
-_SRC_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         "_kernel.c")
+_HERE = os.path.dirname(os.path.abspath(__file__))
+#: One library, two translation units: the consume kernel and the trace
+#: walker of repro.codegen (``repro/_codegen.c``).
+_SRC_PATHS = (os.path.join(_HERE, "_kernel.c"),
+              os.path.join(os.path.dirname(_HERE), "_codegen.c"))
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 
 _lib = None
@@ -191,8 +196,10 @@ def _compiler_identity(cc: str) -> bytes | None:
 
 
 def _compile_lib():
-    with open(_SRC_PATH, "rb") as f:
-        src = f.read()
+    srcs = []
+    for path in _SRC_PATHS:
+        with open(path, "rb") as f:
+            srcs.append(f.read())
     try:
         uid = os.getuid()
     except AttributeError:  # pragma: no cover - non-posix
@@ -208,8 +215,8 @@ def _compile_lib():
         if ident is None:
             continue
         # Content-addressed by everything that shapes the binary:
-        # source, CFLAGS, and the compiler's identity.
-        tag = hashlib.sha256(b"\0".join((src, flags, ident))) \
+        # sources, CFLAGS, and the compiler's identity.
+        tag = hashlib.sha256(b"\0".join((*srcs, flags, ident))) \
             .hexdigest()[:16]
         candidate = os.path.join(cache_dir, f"kernel-{tag}.so")
         if os.path.exists(candidate):
@@ -217,8 +224,8 @@ def _compile_lib():
             break
         tmp = f"{candidate}.tmp.{os.getpid()}"
         try:
-            res = subprocess.run([cc, *_CFLAGS, "-o", tmp, _SRC_PATH],
-                                 capture_output=True, timeout=120)
+            res = subprocess.run([cc, *_CFLAGS, "-o", tmp, *_SRC_PATHS,
+                                  "-lm"], capture_output=True, timeout=120)
         except (OSError, subprocess.SubprocessError):
             continue
         if res.returncode == 0 and os.path.exists(tmp):
@@ -238,6 +245,9 @@ def _compile_lib():
     lib.repro_vm_build.argtypes = [ctypes.c_void_p, ll, ctypes.c_void_p, ll]
     lib.repro_vm_rehash.restype = None
     lib.repro_vm_rehash.argtypes = [ctypes.c_void_p, ll, ctypes.c_void_p, ll]
+    vp = ctypes.c_void_p
+    lib.repro_walk.restype = ll
+    lib.repro_walk.argtypes = [vp, vp, vp, vp, vp, ll, ll, ll, vp, ll, vp]
     return lib
 
 
@@ -268,14 +278,24 @@ def available() -> bool:
 # Loud fallback.
 
 class NativeFallbackWarning(RuntimeWarning):
-    """A vector-engine request ran on the batched Python engine instead."""
+    """A native request (vector consume, trace walk) ran in Python."""
 
 
-_FALLBACK_CAUSES = {
-    "unavailable": "the native kernel is unavailable (no C compiler "
-                   "found, or REPRO_NATIVE=0)",
-    "unsupported": "the core's configuration is outside what the native "
-                   "kernel models (see repro.uarch.native.nativizable)",
+_ENGINE_FALLBACK = ("; running the bit-identical batched Python engine "
+                    "instead (set REPRO_ENGINE=batched to choose it "
+                    "explicitly)")
+_FALLBACK_MESSAGES = {
+    "unavailable": "engine='vector' requested but the native kernel is "
+                   "unavailable (no C compiler found, or REPRO_NATIVE=0)"
+                   + _ENGINE_FALLBACK,
+    "unsupported": "engine='vector' requested but the core's "
+                   "configuration is outside what the native kernel "
+                   "models (see repro.uarch.native.nativizable)"
+                   + _ENGINE_FALLBACK,
+    "generation": "the native trace walker is unavailable (no C compiler "
+                  "found, or REPRO_NATIVE=0); generating traces with the "
+                  "bit-identical Python walker instead, several times "
+                  "slower",
 }
 _warned: set[str] = set()
 _warned_lock = threading.Lock()
@@ -295,9 +315,13 @@ def delegation_reason(core) -> str | None:
 
 
 def note_delegation(reason: str) -> None:
-    """Record one vector request that runs on the batched engine.
+    """Record one native request that runs in Python instead.
 
-    Counts it in ``stats["delegated_<reason>"]`` and the
+    ``"unavailable"``/``"unsupported"``: a vector consume call ran on
+    the batched engine (see :func:`delegation_reason`).
+    ``"generation"``: a code-region walk ran on the Python reference
+    walker because the library is not loaded.  Counts it in
+    ``stats["delegated_<reason>"]`` and the
     ``native.delegated{reason=...}`` obs counter, and warns once per
     process per reason.
     """
@@ -308,11 +332,8 @@ def note_delegation(reason: str) -> None:
         first = reason not in _warned
         _warned.add(reason)
     if first:
-        warnings.warn(
-            f"engine='vector' requested but {_FALLBACK_CAUSES[reason]}; "
-            "running the bit-identical batched Python engine instead "
-            "(set REPRO_ENGINE=batched to choose it explicitly)",
-            NativeFallbackWarning, stacklevel=3)
+        warnings.warn(_FALLBACK_MESSAGES[reason], NativeFallbackWarning,
+                      stacklevel=3)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,6 +1055,18 @@ class CoreImage:
 # ---------------------------------------------------------------------------
 # Column extraction (cached on the buffer).
 
+def _int64_column(col):
+    """One trace column as a contiguous int64 numpy array.
+
+    ``array('q')`` columns are copied (one memcpy): a cached view would
+    lock the array against resizing.  Replayed memoryview columns are
+    aliased, except the one-byte opcode column, which widens.
+    """
+    if isinstance(col, array):
+        return np.array(col, dtype=np.int64)
+    return np.ascontiguousarray(np.asarray(col, dtype=np.int64))
+
+
 def _columns(buf):
     """Contiguous int64 column arrays for a sealed trace buffer.
 
@@ -1044,10 +1077,8 @@ def _columns(buf):
     cached = buf._vcols
     if cached is not None and cached[0] == n:
         return cached[1]
-    kinds = np.ascontiguousarray(np.asarray(buf.kinds, dtype=np.int64))
-    a0 = np.ascontiguousarray(np.asarray(buf.a0, dtype=np.int64))
-    a1 = np.ascontiguousarray(np.asarray(buf.a1, dtype=np.int64))
-    a2 = np.ascontiguousarray(np.asarray(buf.a2, dtype=np.int64))
+    kinds, a0, a1, a2 = map(_int64_column,
+                            (buf.kinds, buf.a0, buf.a1, buf.a2))
     n_ev = int(np.count_nonzero(kinds == 4))
     cols = (kinds, a0, a1, a2, n_ev)
     buf._vcols = (n, cols)

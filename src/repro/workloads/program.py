@@ -18,41 +18,58 @@ execution by instruction count at the consuming side.
 from __future__ import annotations
 
 import random
+from array import array
 
-from repro.codegen import CodeRegion
+from repro.codegen import (MI_LIVE, MI_NLIVE, MI_RING, MI_STATE,
+                           MODEL_DATA, AddressModel, CodeRegion, fifo_push)
 from repro.kernel.syscalls import SyscallKind, SyscallModel
 from repro.runtime.clr import Clr, ClrImage, shared_clr_image
 from repro.runtime.gc import GcConfig
 from repro.runtime.heap import HeapConfig
 from repro.runtime.jit import Method
 from repro.seeding import stable_seed
-from repro.trace import (OP_EVENT, EV_REQUEST_DONE,
-                         REGION_CODE_BASE, REGION_STACK_BASE)
+from repro.trace import (EV_REQUEST_DONE, REGION_CODE_BASE,
+                         REGION_STACK_BASE, pulled)
 from repro.workloads.spec import SuiteName, WorkloadSpec
 
 _LINE = 64
 
+#: DataModel state vector slots (mirror ``DS_*`` in ``_codegen.c``)
+(_ST_RECENT_N, _ST_RECENT_HEAD, _ST_WARM_N, _ST_WARM_IDX, _ST_EP_N,
+ _ST_EP_IDX, _ST_CURSOR) = range(7)
 
-class DataModel:
+
+class DataModel(AddressModel):
     """Data-address generators implementing the spec's locality profile.
 
-    ``load_addr``/``store_addr`` are the callables handed to
-    :meth:`repro.codegen.CodeRegion.walk`; they sample the stack, the
+    The :class:`~repro.codegen.AddressModel` a program's code walks are
+    driven with: ``load_addr``/``store_addr`` sample the stack, the
     streaming buffers, the native working set and (for managed programs)
-    the live object set according to the spec's fractions.
+    the live object set according to the spec's fractions.  Its state —
+    the three recency rings and the stream cursor — lives in int64
+    arrays shared with the native walker, and ``live_addrs`` (the
+    managed heap's :class:`~repro.runtime.heap.LongLivedSet` addresses)
+    is read in place by both walkers.
     """
 
+    __slots__ = ("spec", "live_addrs", "native_base", "stream_base",
+                 "_stream_span", "_native_pages", "_hot_pages",
+                 "_stack_lines", "_slot_lines", "_rings", "_st")
+
     STACK_BYTES = 4 * 1024
+    #: recency-tier capacities: burst (L1), warm (L2), episode (LLC)
+    RECENT_CAP = 6
+    WARM_CAP = 400
+    EPISODE_CAP = 6000
 
     def __init__(self, spec: WorkloadSpec, rng: random.Random,
-                 live_addrs: list[int] | None,
-                 native_base: int, stream_base: int) -> None:
+                 live_addrs, native_base: int, stream_base: int) -> None:
+        if live_addrs is not None and not isinstance(live_addrs, array):
+            live_addrs = array("q", live_addrs)     # a snapshot of a list
         self.spec = spec
-        self.rng = rng
         self.live_addrs = live_addrs
         self.native_base = native_base
         self.stream_base = stream_base
-        self._stream_cursor = 0
         self._stream_span = max(_LINE, spec.stream_bytes)
         self._native_pages = max(1, spec.native_ws_bytes // 4096)
         self._hot_pages = max(1, min(spec.hot_ws_bytes,
@@ -62,19 +79,34 @@ class DataModel:
         self._slot_lines = max(1, spec.object_slot // _LINE)
         # Stack-distance cascade.  Real access streams are dominated by
         # short stack distances; three recency tiers model that:
-        #   ring0 (burst, ~6 addrs)      -> L1 hits
-        #   ring1 (warm, ~400 addrs)     -> L2-distance revisits
-        #   ring2 (episode, ~6000 addrs) -> LLC-distance revisits
+        #   recent (burst, ~6 addrs)     -> L1 hits
+        #   warm (~400 addrs)            -> L2-distance revisits
+        #   episode (~6000 addrs)        -> LLC-distance revisits
         # Only ``fresh_new_frac`` of non-burst draws sample the global
-        # distribution (deep distances: compulsory / DRAM).
-        self._recent: list[int] = []
-        self._recent_cap = 6
-        self._warm: list[int] = []
-        self._warm_cap = 400
-        self._warm_idx = 0
-        self._episode: list[int] = []
-        self._episode_cap = 6000
-        self._episode_idx = 0
+        # distribution (deep distances: compulsory / DRAM).  ``_rings``
+        # holds the three back to back; ``_st`` is their fill state
+        # (see _ST_*) plus the stream cursor.
+        self._rings = array("q", bytes(8 * (self.RECENT_CAP + self.WARM_CAP
+                                            + self.EPISODE_CAP)))
+        self._st = array("q", bytes(8 * 7))
+        super().__init__(
+            rng, MODEL_DATA,
+            (self._stack_lines, self._slot_lines, self._native_pages,
+             self._hot_pages, native_base, stream_base, self._stream_span,
+             self.RECENT_CAP, self.WARM_CAP, self.EPISODE_CAP,
+             REGION_STACK_BASE),
+            (spec.stream_frac, spec.temporal_reuse, spec.stack_frac,
+             spec.fresh_new_frac, spec.pointer_chase_frac, spec.cold_frac,
+             spec.hot_skew, min(0.9, spec.stack_frac * 1.6)))
+
+    def native_args(self):
+        mi = self._mi
+        mi[MI_RING] = self._rings.buffer_info()[0]
+        mi[MI_STATE] = self._st.buffer_info()[0]
+        live = self.live_addrs
+        if live is not None:
+            mi[MI_LIVE], mi[MI_NLIVE] = live.buffer_info()
+        return mi, self._md
 
     # -- individual generators -------------------------------------------
     def stack_addr(self) -> int:
@@ -86,8 +118,9 @@ class DataModel:
     def stream_addr(self) -> int:
         # 8-byte stride: eight consecutive reads share a line, so streams
         # mostly hit L1 and train the L2 stream prefetcher.
-        self._stream_cursor = (self._stream_cursor + 8) % self._stream_span
-        return self.stream_base + self._stream_cursor
+        st = self._st
+        cursor = st[_ST_CURSOR] = (st[_ST_CURSOR] + 8) % self._stream_span
+        return self.stream_base + cursor
 
     def hot_object_addr(self) -> int:
         addrs = self.live_addrs
@@ -115,38 +148,48 @@ class DataModel:
         return (self.native_base + page * 4096
                 + int(rng.random() * 64) * _LINE)
 
+    def _recent_pick(self) -> int:
+        st = self._st
+        k = int(self.rng.random() * st[_ST_RECENT_N])
+        return self._rings[(st[_ST_RECENT_HEAD] + k) % self.RECENT_CAP]
+
     def _remember(self, addr: int) -> int:
-        recent = self._recent
-        if len(recent) >= self._recent_cap:
-            recent.pop(0)
-        recent.append(addr)
-        warm = self._warm
-        if len(warm) < self._warm_cap:
-            warm.append(addr)
+        rings = self._rings
+        st = self._st
+        fifo_push(rings, st, self.RECENT_CAP, addr)
+        n = st[_ST_WARM_N]
+        if n < self.WARM_CAP:
+            rings[_WARM0 + n] = addr
+            st[_ST_WARM_N] = n + 1
         else:
-            warm[self._warm_idx] = addr
-            self._warm_idx = (self._warm_idx + 1) % self._warm_cap
-        episode = self._episode
-        if len(episode) < self._episode_cap:
-            episode.append(addr)
+            i = st[_ST_WARM_IDX]
+            rings[_WARM0 + i] = addr
+            st[_ST_WARM_IDX] = (i + 1) % self.WARM_CAP
+        n = st[_ST_EP_N]
+        if n < self.EPISODE_CAP:
+            rings[_EPISODE0 + n] = addr
+            st[_ST_EP_N] = n + 1
         else:
-            episode[self._episode_idx] = addr
-            self._episode_idx = (self._episode_idx + 1) % self._episode_cap
+            i = st[_ST_EP_IDX]
+            rings[_EPISODE0 + i] = addr
+            st[_ST_EP_IDX] = (i + 1) % self.EPISODE_CAP
         return addr
 
     def _fresh_load(self) -> int:
         s = self.spec
         rng = self.rng
+        st = self._st
         r = rng.random()
         if r < s.stack_frac:
             return self.stack_addr()
         # Recency-tier revisits before any genuinely new sample.
         if rng.random() >= s.fresh_new_frac:
-            if self._warm and rng.random() < 0.6:
-                return self._warm[int(rng.random() * len(self._warm))]
-            if self._episode:
-                return self._episode[int(rng.random()
-                                         * len(self._episode))]
+            n = st[_ST_WARM_N]
+            if n and rng.random() < 0.6:
+                return self._rings[_WARM0 + int(rng.random() * n)]
+            n = st[_ST_EP_N]
+            if n:
+                return self._rings[_EPISODE0 + int(rng.random() * n)]
         r = rng.random()
         if s.pointer_chase_frac and r < s.pointer_chase_frac:
             return self.native_addr(uniform=True)
@@ -162,22 +205,25 @@ class DataModel:
         # the reuse ring — they are the stream share of *all* loads.
         if s.stream_frac and rng.random() < s.stream_frac:
             return self.stream_addr()
-        recent = self._recent
-        if recent and rng.random() < s.temporal_reuse:
-            return recent[int(rng.random() * len(recent))]
+        if self._st[_ST_RECENT_N] and rng.random() < s.temporal_reuse:
+            return self._recent_pick()
         return self._fresh_load()
 
     def store_addr(self) -> int:
         s = self.spec
-        recent = self._recent
-        if recent and self.rng.random() < s.temporal_reuse:
-            return recent[int(self.rng.random() * len(recent))]
+        if self._st[_ST_RECENT_N] and self.rng.random() < s.temporal_reuse:
+            return self._recent_pick()
         # Fresh stores skew further towards the stack (spills, locals).
         if self.rng.random() < min(0.9, s.stack_frac * 1.6):
             return self.stack_addr()
         if self.live_addrs is not None:
             return self._remember(self.hot_object_addr())
         return self._remember(self.native_addr())
+
+
+#: offsets of the warm and episode tiers inside ``DataModel._rings``
+_WARM0 = DataModel.RECENT_CAP
+_EPISODE0 = _WARM0 + DataModel.WARM_CAP
 
 
 class NativeProgram:
@@ -222,9 +268,7 @@ class NativeProgram:
         rng = self.rng
         data = self.data
         while True:
-            yield from self.code.walk(rng, 4096,
-                                      load_addr=data.load_addr,
-                                      store_addr=data.store_addr)
+            yield from self.code.walk(rng, 4096, model=data)
 
     def fill_buffer(self, buf, n_instructions: int) -> bool:
         """Push ~``n_instructions`` of ops into ``buf`` (never exhausts).
@@ -238,9 +282,7 @@ class NativeProgram:
         walk_into = self.code.walk_into
         target = buf.n_instructions + n_instructions
         while buf.n_instructions < target:
-            walk_into(buf, rng, 4096,
-                      load_addr=data.load_addr,
-                      store_addr=data.store_addr)
+            walk_into(buf, rng, 4096, model=data)
         return False
 
 
@@ -310,49 +352,6 @@ class ManagedProgram:
         self._acc[key] -= n
         return n
 
-    def _call_chain(self, budget: int):
-        """Execute a chain of method calls totalling ~``budget`` instrs."""
-        spec = self.spec
-        depth = max(1, spec.call_chain_depth)
-        per_method = max(60, budget // depth)
-        rng = self.rng
-        data = self.data
-        for _ in range(depth):
-            method = self._pick_method()
-            yield from self.clr.enter_method(method)
-            yield from method.region.walk(
-                rng, per_method,
-                load_addr=data.load_addr, store_addr=data.store_addr)
-
-    def _work_item(self):
-        spec = self.spec
-        wi = spec.work_item_instructions
-        n_alloc = self._take("alloc", spec.allocs_per_kinstr * wi / 1000)
-        if n_alloc:
-            yield from self.clr.allocate_batch(n_alloc,
-                                               spec.alloc_size_mean)
-        n_sys = self._take("sys", spec.syscalls_per_kinstr * wi / 1000)
-        for _ in range(n_sys):
-            yield from self._emit_syscall()
-        yield from self._call_chain(wi)
-        if self._take("exc", spec.exceptions_per_minstr * wi / 1e6):
-            yield from self.clr.throw_exception()
-        if self._take("con", spec.contentions_per_minstr * wi / 1e6):
-            yield from self.clr.contend_lock()
-
-    def _emit_syscall(self):
-        spec = self.spec
-        if not spec.syscall_mix:
-            return
-        r = self.rng.random() * sum(w for _, w in spec.syscall_mix)
-        for kind, weight in spec.syscall_mix:
-            r -= weight
-            if r <= 0:
-                break
-        yield from self.syscalls.emit(kind, self.rng,
-                                      payload_bytes=spec.syscall_payload_bytes,
-                                      user_buffer=REGION_STACK_BASE + 0x8000)
-
     def premap_ranges(self) -> list[tuple[int, int]]:
         """Static data ranges faulted in before execution (see
         :meth:`NativeProgram.premap_ranges`)."""
@@ -366,12 +365,13 @@ class ManagedProgram:
             vm.premap_range(start, length)
 
     def ops(self):
-        """Infinite op stream of work items."""
+        """Infinite op stream of work items (pull form of
+        :meth:`fill_buffer`; see :func:`repro.trace.pulled`)."""
         while True:
-            yield from self._work_item()
+            yield from pulled(self._work_item_into)
 
-    # -- push twins (batched emission) ----------------------------------
     def _call_chain_into(self, buf, budget: int) -> None:
+        """Execute a chain of method calls totalling ~``budget`` instrs."""
         spec = self.spec
         depth = max(1, spec.call_chain_depth)
         per_method = max(60, budget // depth)
@@ -380,9 +380,7 @@ class ManagedProgram:
         for _ in range(depth):
             method = self._pick_method()
             self.clr.enter_method_into(buf, method)
-            method.region.walk_into(
-                buf, rng, per_method,
-                load_addr=data.load_addr, store_addr=data.store_addr)
+            method.region.walk_into(buf, rng, per_method, model=data)
 
     def _work_item_into(self, buf) -> None:
         spec = self.spec
@@ -396,9 +394,9 @@ class ManagedProgram:
             self._emit_syscall_into(buf)
         self._call_chain_into(buf, wi)
         if self._take("exc", spec.exceptions_per_minstr * wi / 1e6):
-            buf.extend(self.clr.throw_exception())
+            self.clr.throw_exception_into(buf)
         if self._take("con", spec.contentions_per_minstr * wi / 1e6):
-            buf.extend(self.clr.contend_lock())
+            self.clr.contend_lock_into(buf)
 
     def _emit_syscall_into(self, buf) -> None:
         spec = self.spec
@@ -416,8 +414,7 @@ class ManagedProgram:
     def fill_buffer(self, buf, n_instructions: int) -> bool:
         """Push ~``n_instructions`` of work items into ``buf``.
 
-        Same RNG call order as :meth:`ops`; chunk boundaries land on
-        work-item boundaries instead of mid-item.  Never exhausts.
+        Chunk boundaries land on work-item boundaries.  Never exhausts.
         """
         target = buf.n_instructions + n_instructions
         while buf.n_instructions < target:
@@ -436,76 +433,13 @@ class AspNetProgram(ManagedProgram):
 
     CHUNK = 64 * 1024
 
-    def _work_item(self):
-        spec = self.spec
-        rng = self.rng
-        sysm = self.syscalls
-        ubuf = REGION_STACK_BASE + 0x8000
-        yield from sysm.emit(SyscallKind.EPOLL_WAIT, rng)
-        # Large uploads arrive in chunks interleaved with parsing.
-        remaining = max(spec.request_bytes, 1)
-        recv_chunks = max(1, (remaining + self.CHUNK - 1) // self.CHUNK)
-        n_alloc = self._take("alloc", spec.allocs_per_kinstr
-                             * spec.work_item_instructions / 1000)
-        parse_budget = int(spec.work_item_instructions
-                           * (0.5 if recv_chunks > 1 else 0.0))
-        for _ in range(recv_chunks):
-            chunk = min(self.CHUNK, remaining)
-            yield from sysm.emit(SyscallKind.RECV, rng, payload_bytes=chunk,
-                                 user_buffer=ubuf)
-            remaining -= chunk
-            if recv_chunks > 1:
-                yield from self._call_chain(parse_budget // recv_chunks)
-        # App logic: managed method calls + allocation.
-        if n_alloc:
-            yield from self.clr.allocate_batch(n_alloc, spec.alloc_size_mean)
-        send_chunks = max(1, (spec.response_bytes + self.CHUNK - 1)
-                          // self.CHUNK)
-        app_budget = spec.work_item_instructions - parse_budget
-        serialize_budget = (int(app_budget * 0.55) if send_chunks > 1 else 0)
-        # Big responses serialize through a Large-Object-Heap buffer,
-        # recycled across requests via the LOH free list (like real
-        # ASP.NET's ArrayPool/PipeWriter buffers).
-        loh_buffer = None
-        if send_chunks > 1:
-            loh_size = min(spec.response_bytes, self.CHUNK)
-            yield from self.clr.alloc_large(loh_size)
-            loh_buffer = (self.clr._last_loh[0], loh_size)
-        yield from self._call_chain(app_budget - serialize_budget)
-        for _ in range(spec.db_queries_per_request):
-            yield from sysm.emit(SyscallKind.SEND, rng, payload_bytes=256,
-                                 user_buffer=ubuf)
-            yield from sysm.emit(SyscallKind.RECV, rng,
-                                 payload_bytes=spec.db_response_bytes,
-                                 user_buffer=ubuf)
-        # Responses stream out chunk by chunk, serialization interleaved;
-        # large responses send from the LOH buffer.
-        remaining = spec.response_bytes
-        send_buf = loh_buffer[0] if loh_buffer else ubuf
-        while remaining > 0:
-            chunk = min(self.CHUNK, remaining)
-            if send_chunks > 1:
-                yield from self._call_chain(serialize_budget // send_chunks)
-            yield from sysm.emit(SyscallKind.SEND, rng, payload_bytes=chunk,
-                                 user_buffer=send_buf)
-            remaining -= chunk
-        if loh_buffer is not None:
-            self.clr.free_large(*loh_buffer)
-        if self._take("exc", spec.exceptions_per_minstr
-                      * spec.work_item_instructions / 1e6):
-            yield from self.clr.throw_exception()
-        if self._take("con", spec.contentions_per_minstr
-                      * spec.work_item_instructions / 1e6):
-            yield from self.clr.contend_lock()
-        yield (OP_EVENT, EV_REQUEST_DONE, None)
-
     def _work_item_into(self, buf) -> None:
-        """Push twin of :meth:`_work_item` — same ops, same RNG order."""
         spec = self.spec
         rng = self.rng
         sysm = self.syscalls
         ubuf = REGION_STACK_BASE + 0x8000
         sysm.emit_into(buf, SyscallKind.EPOLL_WAIT, rng)
+        # Large uploads arrive in chunks interleaved with parsing.
         remaining = max(spec.request_bytes, 1)
         recv_chunks = max(1, (remaining + self.CHUNK - 1) // self.CHUNK)
         n_alloc = self._take("alloc", spec.allocs_per_kinstr
@@ -519,16 +453,20 @@ class AspNetProgram(ManagedProgram):
             remaining -= chunk
             if recv_chunks > 1:
                 self._call_chain_into(buf, parse_budget // recv_chunks)
+        # App logic: managed method calls + allocation.
         if n_alloc:
             self.clr.allocate_batch_into(buf, n_alloc, spec.alloc_size_mean)
         send_chunks = max(1, (spec.response_bytes + self.CHUNK - 1)
                           // self.CHUNK)
         app_budget = spec.work_item_instructions - parse_budget
         serialize_budget = (int(app_budget * 0.55) if send_chunks > 1 else 0)
+        # Big responses serialize through a Large-Object-Heap buffer,
+        # recycled across requests via the LOH free list (like real
+        # ASP.NET's ArrayPool/PipeWriter buffers).
         loh_buffer = None
         if send_chunks > 1:
             loh_size = min(spec.response_bytes, self.CHUNK)
-            buf.extend(self.clr.alloc_large(loh_size))
+            self.clr.alloc_large_into(buf, loh_size)
             loh_buffer = (self.clr._last_loh[0], loh_size)
         self._call_chain_into(buf, app_budget - serialize_budget)
         for _ in range(spec.db_queries_per_request):
@@ -537,6 +475,8 @@ class AspNetProgram(ManagedProgram):
             sysm.emit_into(buf, SyscallKind.RECV, rng,
                            payload_bytes=spec.db_response_bytes,
                            user_buffer=ubuf)
+        # Responses stream out chunk by chunk, serialization interleaved;
+        # large responses send from the LOH buffer.
         remaining = spec.response_bytes
         send_buf = loh_buffer[0] if loh_buffer else ubuf
         while remaining > 0:
@@ -550,10 +490,10 @@ class AspNetProgram(ManagedProgram):
             self.clr.free_large(*loh_buffer)
         if self._take("exc", spec.exceptions_per_minstr
                       * spec.work_item_instructions / 1e6):
-            buf.extend(self.clr.throw_exception())
+            self.clr.throw_exception_into(buf)
         if self._take("con", spec.contentions_per_minstr
                       * spec.work_item_instructions / 1e6):
-            buf.extend(self.clr.contend_lock())
+            self.clr.contend_lock_into(buf)
         buf.event(EV_REQUEST_DONE, None)
 
 

@@ -1,6 +1,7 @@
 """Tests for the content-addressed trace store."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +162,31 @@ class TestFingerprint:
     def test_default_root_is_cached_and_stable(self):
         assert trace_fingerprint() == trace_fingerprint()
 
+    def test_native_walker_source_invalidates_kernel_does_not(self,
+                                                              tmp_path):
+        """The C walker generates the op stream, so a byte of
+        ``_codegen.c`` changes the fingerprint; the consume kernel's
+        source does not."""
+        import shutil
+        import repro
+        root = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).parent, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        base = trace_fingerprint(root, refresh=True)
+
+        def flip_one_byte(path):
+            data = bytearray(path.read_bytes())
+            data[len(data) // 2] ^= 0x01
+            path.write_bytes(bytes(data))
+
+        kernel = root / "uarch" / "_kernel.c"
+        original = kernel.read_bytes()
+        flip_one_byte(kernel)
+        assert trace_fingerprint(root, refresh=True) == base
+        kernel.write_bytes(original)
+        flip_one_byte(root / "_codegen.c")
+        assert trace_fingerprint(root, refresh=True) != base
+
 
 class TestTraceIntegrity:
     def test_sidecar_records_checksum(self, tmp_path):
@@ -238,3 +264,47 @@ class TestRunnerFallback:
         assert any(store.corrupt_dir.iterdir())
         # the store now holds a fresh valid entry under the same key
         assert store.lookup(key, 1) is not None
+
+
+class TestArrayColumns:
+    """Generated buffers carry ``array('q')`` columns; the store must
+    record and replay them byte for byte."""
+
+    def test_record_replay_round_trip(self, tmp_path):
+        from repro.trace import TraceBuffer
+        from repro.workloads.program import build_program
+        store = TraceStore(tmp_path)
+        key = _key(store)
+        meta, generated = store.ensure(
+            key, 100_000, lambda: build_program(_spec(), seed=3))
+        assert generated
+        program = build_program(_spec(), seed=3)
+        replayed = list(store.replay(key))
+        total = 0
+        for buf in replayed:
+            fresh = TraceBuffer()
+            program.fill_buffer(fresh, 65536)
+            assert (bytes(fresh.a0), bytes(fresh.a1), bytes(fresh.a2)) \
+                == (bytes(buf.a0), bytes(buf.a1), bytes(buf.a2))
+            assert list(fresh.kinds) == list(buf.kinds)
+            assert fresh.events == buf.events
+            assert fresh.n_instructions == buf.n_instructions
+            total += buf.n_instructions
+        assert total == meta["n_instructions"] >= 100_000
+
+    def test_warm_copy_keeps_formats(self, tmp_path):
+        """Cached copies of replayed chunks keep the one-byte opcode
+        column; array-backed chunks are cached as they are."""
+        from repro.exec.warm import _owned_copy
+        from repro.trace import TraceBuffer
+        store = TraceStore(tmp_path)
+        key = _key(store)
+        store.ensure(key, 2_000, FakeProgramPush)
+        (buf,) = list(store.replay(key))
+        copy = _owned_copy(buf)
+        assert copy is not buf
+        assert copy.kinds.format == "B" and copy.a0.format == "q"
+        assert list(copy.iter_ops()) == list(buf.iter_ops())
+        fresh = TraceBuffer()
+        FakeProgramPush().fill_buffer(fresh, 100)
+        assert _owned_copy(fresh) is fresh

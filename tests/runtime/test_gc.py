@@ -99,7 +99,7 @@ class TestCollection:
         live.scatter([1], [0x9000_0000])
         before = list(live.addrs)
         run_collect(gc, heap, live, compact=False)
-        assert live.addrs == before
+        assert list(live.addrs) == before
 
     def test_collection_resets_nursery(self):
         gc = make_gc()

@@ -62,7 +62,7 @@ class TestTraceBuffer:
         buf = TraceBuffer()
         buf.extend(OPS)
         assert buf.seal() is buf
-        assert buf.lines == [a >> 6 for a in buf.a0]
+        assert list(buf.lines) == [a >> 6 for a in buf.a0]
         # line_ends: last byte of the op's span (blocks span n_bytes).
         assert buf.line_ends[0] == (0x4000_0000 + 48 - 1) >> 6
         lines = buf.lines
