@@ -12,12 +12,13 @@ safely reusable across jobs *within one worker process*:
   bit-identical to constructing from scratch (the equivalence suite
   enforces this), so reuse is purely a wall-clock optimization.
 * **sealed trace buffers** — decoded chunks of a
-  :class:`~repro.exec.traces.TraceStore` entry, keyed by the trace
-  content key.  ``consume_buffer`` never mutates sealed columns and
-  single-core replay applies no transform, so the same chunks can feed
-  any number of machine configs.  Only traces below an op cap are
-  cached; longer ones keep the mmap streaming path so peak RSS stays
-  bounded.
+  :class:`~repro.exec.traces.TraceStore` entry plus its sidecar
+  metadata, keyed by the trace content key and checked against the
+  identity of the files they were read from.  ``consume_buffer``
+  never mutates sealed columns and single-core replay applies no
+  transform, so the same chunks can feed any number of machine
+  configs.  Only traces below an op cap are cached; longer ones keep
+  the mmap streaming path so peak RSS stays bounded.
 
 Failure hygiene: a job that *fails* may have died mid-consume with
 arbitrary shared state — the worker calls :func:`evict_all` before
@@ -105,7 +106,7 @@ class WarmCache:
         self.max_buffer_ops = (max_buffer_ops if max_buffer_ops is not None
                                else _cache_ops_cap())
         self._models: OrderedDict[bytes, bytes] = OrderedDict()
-        self._buffers: OrderedDict[str, tuple[list, int]] = OrderedDict()
+        self._buffers: OrderedDict[str, tuple] = OrderedDict()
         self._buffer_ops = 0
         self.model_hits = 0
         self.model_misses = 0
@@ -155,7 +156,7 @@ class WarmCache:
     # -- decoded sealed trace chunks ------------------------------------
 
     def buffers(self, trace_key: str, identity=None):
-        """The cached sealed chunks for ``trace_key``, or ``None``.
+        """``(chunks, meta)`` cached for ``trace_key``, or ``None``.
 
         ``identity`` (see :func:`file_identity`) must match the value
         recorded when the entry was cached; a mismatch — the trace file
@@ -167,7 +168,7 @@ class WarmCache:
             self.buffer_misses += 1
             obs.add("warm.buffer_misses")
             return None
-        bufs, n_ops, cached_identity = entry
+        bufs, n_ops, cached_identity, meta = entry
         if identity != cached_identity:
             del self._buffers[trace_key]
             self._buffer_ops -= n_ops
@@ -179,28 +180,30 @@ class WarmCache:
         self._buffers.move_to_end(trace_key)
         self.buffer_hits += 1
         obs.add("warm.buffer_hits")
-        return bufs
+        return bufs, meta
 
     def put_buffers(self, trace_key: str, bufs: list,
-                    identity=None) -> None:
-        """Cache sealed chunks, copied into process-owned memory.
+                    identity=None, meta=None) -> None:
+        """Cache sealed chunks, copied into process-owned memory, with
+        the entry's sidecar ``meta``; replaces an entry already there.
 
         Chunks decoded zero-copy hold views into an mmap of the trace
         file; caching those would pin the map and — worse — SIGBUS if
         the file were ever truncated in place.  The copy detaches the
         cache from the filesystem entirely.
         """
-        if trace_key in self._buffers:
-            return
+        old = self._buffers.pop(trace_key, None)
+        if old is not None:
+            self._buffer_ops -= old[1]
         n_ops = sum(len(b) for b in bufs)
         if n_ops > self.max_buffer_ops:
             return                    # too long: keep streaming it
         bufs = [_owned_copy(b) for b in bufs]
-        self._buffers[trace_key] = (bufs, n_ops, identity)
+        self._buffers[trace_key] = (bufs, n_ops, identity, meta)
         self._buffer_ops += n_ops
         while (self._buffer_ops > self.max_buffer_ops
                and len(self._buffers) > 1):
-            _, (_, dropped, _) = self._buffers.popitem(last=False)
+            _, (_, dropped, _, _) = self._buffers.popitem(last=False)
             self._buffer_ops -= dropped
             self.evictions += 1
             obs.add("warm.evictions")

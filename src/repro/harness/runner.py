@@ -149,7 +149,14 @@ def run_workload(spec: WorkloadSpec, machine: MachineConfig,
     stored trace that fails to decode (corruption that slipped past the
     store's checksum — e.g. a legacy entry without one) is quarantined
     and the run falls back to regenerating the trace instead of
-    propagating the decode error.  ``engine`` selects the consume path
+    propagating the decode error.  With the per-worker warm cache
+    (:mod:`repro.exec.warm`), a trace whose file and sidecar keep their
+    identity is replayed from the decoded chunks cached with its
+    sidecar metadata, without reading the file again.  Invariant: every
+    byte decoded from disk was CRC-checked against the sidecar first
+    (:meth:`~repro.exec.traces.TraceStore.ensure`), and a file whose
+    identity changed (rewritten, truncated, bit-flipped in place) misses
+    the cache and is verified again.  ``engine`` selects the consume path
     (see :func:`resolve_engine`; default ``"vector"``, the native C
     kernel, falling back to batched; legacy when
     ``REPRO_LEGACY_CONSUME=1``).  ``RunResult.engine`` records the engine
@@ -189,6 +196,10 @@ def run_workload(spec: WorkloadSpec, machine: MachineConfig,
     from repro.exec import warm as _warm
     warm_cache = _warm.get_cache()
 
+    def trace_identity() -> tuple:
+        return (_warm.file_identity(trace_store.trace_path(trace_key)),
+                _warm.file_identity(trace_store.meta_path(trace_key)))
+
     def attempt() -> RunResult:
         pair = warm_cache.model(machine) if warm_cache is not None else None
         if pair is None:
@@ -212,21 +223,32 @@ def run_workload(spec: WorkloadSpec, machine: MachineConfig,
                 return _core.consume_stream(source, max_instructions,
                                             engine=engine)
             if trace_key is not None:
-                with obs.span("run.trace_ensure", workload=spec.name):
-                    meta, _ = trace_store.ensure(
-                        trace_key, warmup + measure, make_program)
+                required = warmup + measure
+                # Taken before ensure() verifies the files: if they change
+                # in between, the recorded identity is stale and the next
+                # lookup verifies again.
+                identity = (trace_identity()
+                            if warm_cache is not None else None)
+                cached = (warm_cache.buffers(trace_key, identity)
+                          if warm_cache is not None else None)
+                if (cached is not None
+                        and cached[1]["n_instructions"] >= required):
+                    bufs, meta = cached
+                else:
+                    with obs.span("run.trace_ensure", workload=spec.name):
+                        meta, generated = trace_store.ensure(
+                            trace_key, required, make_program)
+                    bufs = None
+                    if (warm_cache is not None
+                            and meta.get("n_instructions", 0)
+                            <= warm_cache.max_buffer_ops):
+                        if generated:
+                            identity = trace_identity()
+                        bufs = list(trace_store.replay(trace_key))
+                        warm_cache.put_buffers(trace_key, bufs, identity,
+                                               meta)
                 for start, length in meta["premap_ranges"]:
                     vm.premap_range(start, length)
-                identity = (_warm.file_identity(
-                    trace_store.trace_path(trace_key))
-                    if warm_cache is not None else None)
-                bufs = (warm_cache.buffers(trace_key, identity)
-                        if warm_cache is not None else None)
-                if (bufs is None and warm_cache is not None
-                        and meta.get("n_instructions", 0)
-                        <= warm_cache.max_buffer_ops):
-                    bufs = list(trace_store.replay(trace_key))
-                    warm_cache.put_buffers(trace_key, bufs, identity)
                 if bufs is not None:
                     source = TraceBufferStream(buffers=iter(bufs))
                 else:

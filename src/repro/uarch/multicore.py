@@ -49,6 +49,15 @@ class SharedLlc:
         self._accesses_this_epoch = 0
         self.slice_accesses = [0] * self.n_slices
         self.active_cores = 1
+        #: native images attached to the cores sharing this LLC, owner
+        #: first (see repro.uarch.native.CoreImage); None when detached
+        self._native_group = None
+
+    def __getstate__(self) -> dict:
+        group = self._native_group
+        if group:                   # never pickle structures left in C
+            group[0].core.sync_native()
+        return self.__dict__
 
     def access(self, addr: int, core_id: int, is_write: bool = False) -> bool:
         self._accesses_this_epoch += 1
@@ -163,11 +172,14 @@ class MulticoreRunner:
         """A native multicore session for ``engine="vector"``, or None.
 
         The session (see :class:`repro.uarch.native.NativeMulticoreSession`)
-        keeps per-core kernel images alive across quanta — the shared LLC
-        is aliased into every image and the Python contention model runs
-        unchanged at epoch boundaries.  Any disqualifying configuration
-        (kernel unavailable, legacy streams, non-nativizable core) falls
-        back to the batched per-quantum path.
+        runs each quantum on the cores' attached kernel images, which
+        stay resident across quanta and later ``run`` calls — the shared
+        LLC is aliased into every image and the Python contention model
+        runs unchanged at epoch boundaries.  Call ``core.sync_native()``
+        before reading a core's caches or predictors after a run.  Any
+        disqualifying configuration (kernel unavailable, legacy streams,
+        non-nativizable core) falls back to the batched per-quantum
+        path.
         """
         if self.engine != "vector":
             return None
@@ -179,38 +191,34 @@ class MulticoreRunner:
         remaining = [instructions_per_core] * self.n_cores
         epochs = 0
         session = self._open_session()
-        try:
-            while any(r > 0 for r in remaining):
-                cycles_before = [c.cycles for c in self.cores]
-                progressed = False
-                for i, core in enumerate(self.cores):
-                    if remaining[i] <= 0:
-                        continue
-                    quantum = min(self.epoch_instructions, remaining[i])
-                    stream = self._streams[i]
-                    if session is not None:
-                        done = session.consume(i, stream, quantum)
-                    elif isinstance(stream, TraceBufferStream):
-                        done = core.consume_stream(stream,
-                                                   max_instructions=quantum,
-                                                   engine=self.engine)
-                    else:
-                        done = core.consume(stream, max_instructions=quantum)
-                    remaining[i] -= done if done else remaining[i]
-                    if done:
-                        progressed = True
-                epoch_cycles = sum(c.cycles - b for c, b in
-                                   zip(self.cores, cycles_before)) \
-                    / self.n_cores
+        while any(r > 0 for r in remaining):
+            cycles_before = [c.cycles for c in self.cores]
+            progressed = False
+            for i, core in enumerate(self.cores):
+                if remaining[i] <= 0:
+                    continue
+                quantum = min(self.epoch_instructions, remaining[i])
+                stream = self._streams[i]
                 if session is not None:
-                    session.sync_epoch()
-                self.llc.update_contention(epoch_cycles, self.n_cores)
-                if session is not None:
-                    session.refresh_contention()
-                epochs += 1
-                if not progressed:      # all streams exhausted early
-                    break
-        finally:
+                    done = session.consume(i, stream, quantum)
+                elif isinstance(stream, TraceBufferStream):
+                    done = core.consume_stream(stream,
+                                               max_instructions=quantum,
+                                               engine=self.engine)
+                else:
+                    done = core.consume(stream, max_instructions=quantum)
+                remaining[i] -= done if done else remaining[i]
+                if done:
+                    progressed = True
+            epoch_cycles = sum(c.cycles - b for c, b in
+                               zip(self.cores, cycles_before)) \
+                / self.n_cores
             if session is not None:
-                session.close()
+                session.sync_epoch()
+            self.llc.update_contention(epoch_cycles, self.n_cores)
+            if session is not None:
+                session.refresh_contention()
+            epochs += 1
+            if not progressed:      # all streams exhausted early
+                break
         return MulticoreResult(self.cores, self.llc, epochs)

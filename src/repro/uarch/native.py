@@ -2,25 +2,43 @@
 
 The vector engine runs the per-op simulation loop in a small C kernel
 (``_kernel.c``) compiled on first use with the system compiler and loaded
-via ctypes.  Python owns every byte of simulator state as numpy arrays:
-:class:`CoreImage` exports a :class:`~repro.uarch.pipeline.Core` into flat
-arrays, the kernel mutates them in place, and ``writeback`` reconstructs
-the exact Python object state (including dict insertion order where it is
-semantically observable) so results are bit-identical to the legacy
-engine.
+via ctypes.  A :class:`CoreImage` holds a :class:`~repro.uarch.pipeline.Core`
+as flat numpy arrays the kernel mutates in place, in two tiers:
+
+* **Scalars and stats** (counters, stall books, cycle-hook threshold,
+  replacement RNG states, every ``.stats`` object, the shared LLC's
+  epoch counters): Python is authoritative between kernel calls.  Every
+  entry reloads them from the live objects and every exit (end of a
+  consume call, each HOOK exit, each multicore quantum) publishes them
+  back, so ``reset_stats``, ``set_hints``, ``set_cycle_hook`` and hooks
+  that mutate counters just work.
+* **Structures** (cache/TLB sets and membership, gshare table, loop
+  predictor, BTB, stream-prefetcher streams, DRAM open rows): exported
+  once when the image *attaches* to its core, then resident in the
+  arrays across consume calls (warmup and measure, multicore runs,
+  hook re-entries).  While attached, the Python containers are ``None``
+  so a reader that skipped the sync fails loudly instead of reading
+  stale state.  ``Core.sync_native()`` (``CoreImage.writeback`` with
+  ``sync=True``) imports them back
+  with the exact Python object state (including dict insertion order
+  where it is semantically observable) and detaches the image.
+
+The VM's demand-faulted pages are drained into Python after every
+kernel call, and a premap/unmap between calls is picked up at entry.
 
 Two stateful-callback cases run natively via resume protocols rather
 than falling back:
 
 * **Cycle hooks** (the sampler) use a trampoline: the kernel tracks
   ``next_hook_cycles`` and exits with a ``HOOK`` status at the block op
-  that crossed the threshold; the driver writes state back, runs the
-  Python hook against the live ``Core``, and re-enters the kernel.
+  that crossed the threshold; the consume loop publishes scalars and
+  stats, runs the Python hook against the live ``Core``, and re-enters
+  the kernel with the same image.
 * **The shared LLC** (multicore) is one set of arrays aliased into
-  every core's image (:class:`NativeMulticoreSession`): slice-hashed
-  epoch counters and the contention-folded L3 latency live in C, while
+  every attached image of the cores sharing it: slice-hashed epoch
+  counters and the contention-folded L3 latency live in C, while
   Python's M/M/1 ``update_contention`` runs unchanged between epoch
-  quanta.
+  quanta.  Syncing any of those cores syncs them all.
 
 When the kernel is unavailable (no compiler, ``REPRO_NATIVE=0``) or the
 core uses a configuration the kernel does not model (subclassed shared
@@ -41,6 +59,7 @@ import threading
 import time
 import warnings
 from array import array
+from operator import attrgetter
 
 import numpy as np
 
@@ -126,25 +145,29 @@ _C_LLC = 3                         # LLC's index in the caches tuple
 #: really took the native path (and how) without instrumenting the hot
 #: loop.  Monotonic per process; tests diff around a call.  The
 #: ``ops_*`` keys are retirement counters the kernel itself increments
-#: (one aligned int64 add per op) and ``writeback`` drains here, so the
-#: totals survive image teardown; ``vm_hash_builds`` counts the exports
-#: that missed the page-table cache and rebuilt it from the vm;
+#: (one aligned int64 add per op) and every exit drains here, so the
+#: totals survive image teardown; ``structure_exports`` counts image
+#: attaches (structures exported) and ``structure_imports`` the images a
+#: sync imported back; ``vm_hash_builds`` counts the page-table
+#: exports that missed the page-table cache and rebuilt it from the vm;
 #: ``delegated_<reason>`` counts native requests that ran in Python
 #: instead (see :func:`note_delegation`).
 stats = {"consume_calls": 0, "kernel_calls": 0, "hook_exits": 0,
          "sessions": 0, "ops_retired": 0, "vm_hash_builds": 0,
+         "structure_exports": 0, "structure_imports": 0,
          "ops_block": 0, "ops_branch": 0, "ops_load": 0,
          "ops_store": 0, "ops_event": 0,
          "delegated_unavailable": 0, "delegated_unsupported": 0,
          "delegated_generation": 0}
-_stats = stats  # alias for scopes where a cache/tlb unpack shadows ``stats``
 
 #: Kernel dispatch order: index ``k`` maps to ``stats["ops_<name>"]``
 #: and the ``SI_OPK0 + k`` retirement slot.  Must match ``_kernel.c``.
 OP_KIND_NAMES = ("block", "branch", "load", "store", "event")
 
-# Images currently exported to the kernel.  ``ops_retired()`` folds
-# their live slots into the drained totals; ``writeback`` removes them.
+# Images inside a kernel entry (between the reload and the publish).
+# ``ops_retired()`` folds their live slots into the drained totals; every
+# exit drains the slots and unregisters, so an attached image between
+# calls is referenced only by its core and dies with it.
 _live_lock = threading.Lock()
 _live_images: dict[int, "CoreImage"] = {}
 
@@ -440,62 +463,64 @@ def _export_assoc(sets, n_sets, ways, tags, flags):
     return cnt
 
 
+_CACHE_STATS = ("accesses", "misses", "demand_accesses", "demand_misses",
+                "prefetch_fills", "useful_prefetches", "useless_prefetches",
+                "evictions", "writebacks")
+_TLB_STATS = ("accesses", "misses", "walks")
+_DRAM_STATS = ("reads", "writes", "row_hits", "row_misses", "bytes_read",
+               "bytes_written")
+_get_cache_stats = attrgetter(*_CACHE_STATS)
+_get_tlb_stats = attrgetter(*_TLB_STATS)
+_get_dram_stats = attrgetter(*_DRAM_STATS)
+
+
+def _set_fields(obj, names, values) -> None:
+    for name, value in zip(names, values):
+        setattr(obj, name, value)
+
+
 def _export_cache(cache):
     n = cache.n_sets * cache.ways
     tags = np.zeros(n, dtype=np.int64)
     flags = np.zeros(n, dtype=np.uint8)
     cnt = _export_assoc(cache._sets, cache.n_sets, cache.ways, tags, flags)
-    st = cache.stats
-    stats = np.array([st.accesses, st.misses, st.demand_accesses,
-                      st.demand_misses, st.prefetch_fills,
-                      st.useful_prefetches, st.useless_prefetches,
-                      st.evictions, st.writebacks], dtype=np.int64)
-    return tags, flags, cnt, stats
+    return tags, flags, cnt, np.zeros(len(_CACHE_STATS), dtype=np.int64)
 
 
-def _import_cache(cache, tags, flags, cnt, stats):
+def _import_cache(cache, tags, flags, cnt) -> None:
     ways = cache.ways
-    tl, fl, cl = tags.tolist(), flags.tolist(), cnt.tolist()
-    sets = cache._sets
-    lines = cache._lines
-    lines.clear()
-    for si in range(cache.n_sets):
+    tl, fl = tags.tolist(), flags.tolist()
+    sets = []
+    lines = set()
+    for si, n in enumerate(cnt.tolist()):
         base = si * ways
         bucket = []
-        for k in range(base, base + cl[si]):
+        for k in range(base, base + n):
             t, f = tl[k], fl[k]
             bucket.append([t, bool(f & 1), bool(f & 2), bool(f & 4)])
             lines.add(t)
-        sets[si] = bucket
-    st = cache.stats
-    sl = stats.tolist()
-    (st.accesses, st.misses, st.demand_accesses, st.demand_misses,
-     st.prefetch_fills, st.useful_prefetches, st.useless_prefetches,
-     st.evictions, st.writebacks) = sl
+        sets.append(bucket)
+    cache._sets = sets
+    cache._lines = lines
 
 
 def _export_tlb(tlb):
     n = tlb.n_sets * tlb.ways
     vpns = np.zeros(n, dtype=np.int64)
     cnt = _export_assoc(tlb._sets, tlb.n_sets, tlb.ways, vpns, None)
-    st = tlb.stats
-    stats = np.array([st.accesses, st.misses, st.walks], dtype=np.int64)
-    return vpns, cnt, stats
+    return vpns, cnt, np.zeros(len(_TLB_STATS), dtype=np.int64)
 
 
-def _import_tlb(tlb, vpns, cnt, stats):
+def _import_tlb(tlb, vpns, cnt) -> None:
     ways = tlb.ways
-    vl, cl = vpns.tolist(), cnt.tolist()
-    sets = tlb._sets
-    resident = tlb._resident
-    resident.clear()
-    for si in range(tlb.n_sets):
-        base = si * ways
-        bucket = vl[base:base + cl[si]]
+    vl = vpns.tolist()
+    sets = [vl[si * ways:si * ways + n]
+            for si, n in enumerate(cnt.tolist())]
+    resident = set()
+    for bucket in sets:
         resident.update(bucket)
-        sets[si] = bucket
-    st = tlb.stats
-    st.accesses, st.misses, st.walks = stats.tolist()
+    tlb._sets = sets
+    tlb._resident = resident
 
 
 # ---------------------------------------------------------------------------
@@ -504,139 +529,78 @@ def _import_tlb(tlb, vpns, cnt, stats):
 class CoreImage:
     """Flat-array image of a Core's mutable state, shared with the kernel.
 
-    ``__init__`` exports, the kernel mutates the arrays in place through
-    the pointer table, ``writeback`` reconstructs the Python objects.
-    Derived stall constants are evaluated here with the *same expression
+    Lifecycle (see the module docstring for the two tiers):
+
+    * ``__init__`` *attaches*: it exports every structure once, loads
+      the scalars and stats, sets ``core._native_image`` and empties the
+      Python structure containers (``None``) so nothing reads them stale.
+    * Each kernel entry (the first :meth:`run_buffer` after an exit)
+      reloads scalars, stats and derived constants from Python and
+      re-checks the VM's mapping key.
+    * Each exit (:meth:`writeback`) publishes scalars and stats, drains
+      the retirement counters and unregisters from ``_live_images``.
+    * :meth:`writeback` with ``sync=True`` (``Core.sync_native``) also
+      imports the structures back and detaches.
+
+    Derived stall constants are evaluated with the *same expression
     shapes* the legacy per-op code uses, so the doubles the kernel
     accumulates are bit-identical.
 
-    ``shared_llc_image``: when several cores share one
-    :class:`~repro.uarch.multicore.SharedLlc`, the first core's image
-    owns the LLC arrays (tags/flags/cnt/stats + epoch counters) and
-    every later image aliases them, so the kernels see one coherent
-    LLC no matter which core runs.  Only the owner writes the LLC back.
+    Cores sharing one :class:`~repro.uarch.multicore.SharedLlc` form a
+    group (``SharedLlc._native_group``): the first image to attach owns
+    the LLC arrays (tags/flags/cnt/stats + epoch counters), every later
+    one aliases them, so the kernels see one coherent LLC no matter
+    which core runs.  Only the owner imports the LLC structures, and a
+    sync always covers the whole group.
     """
 
-    def __init__(self, core, shared_llc_image=None) -> None:
+    def __init__(self, core) -> None:
         from repro.uarch.pipeline import ALL_BUCKETS
         _t0 = time.perf_counter_ns() if obs.enabled() else None
         self.core = core
         self.buckets = ALL_BUCKETS
-        m = core.machine
-        h = core.hints
         self.si = np.zeros(SI_N, dtype=np.int64)
         self.sd = np.zeros(SD_N, dtype=np.float64)
         self.pd = np.zeros(PD_N, dtype=np.float64)
         self.pi = np.zeros(PI_N, dtype=np.int64)
         self.ptab = (ctypes.c_void_p * P_N)()
         self._keep = []            # arrays the pointer table references
-
-        si, sd, pd, pi = self.si, self.sd, self.pd, self.pi
-
-        # -- scalars -----------------------------------------------------
-        c = core.counts
-        si[SI_INSTR] = c.instructions
-        si[SI_KINSTR] = c.kernel_instructions
-        si[SI_BRANCHES] = c.branches
-        si[SI_LOADS] = c.loads
-        si[SI_STORES] = c.stores
-        si[SI_DTLB_LWALK] = c.dtlb_load_walks
-        si[SI_DTLB_SWALK] = c.dtlb_store_walks
-        si[SI_ITLB_WALK] = c.itlb_walks
-        si[SI_LAST_CODE_LINE] = core._last_code_line
-        si[SI_LAST_CODE_PAGE] = core._last_code_page
-        si[SI_LAST_DATA_VPN] = core._last_data_vpn
-        si[SI_KMODE] = int(core._kernel_mode)
-        sd[SD_IDEAL] = core._ideal_cycles
-        sd[SD_UOPS] = c.uops
-        for k, b in enumerate(self.buckets):
-            sd[SD_ST0 + k] = core.stalls[b]
-
-        # -- derived constants (legacy expression shapes) -----------------
-        width = m.pipeline_width
-        pd[PD_UOP_FACTOR] = h.uop_factor
-        pd[PD_INV_WIDTH] = 1.0 / width
-        pd[PD_WIDTH] = float(width)
-        ilp = min(h.ilp, width)
-        ports_on = ilp < width
-        pd[PD_PORTS_ON] = 1.0 if ports_on else 0.0
-        pd[PD_PORTS_COEFF] = (1.0 / ilp - 1.0 / width) if ports_on else 0.0
-        pd[PD_DIV_FRAC] = h.div_frac
-        pd[PD_DIV_PEN] = core.DIV_PENALTY
-        pd[PD_MICRO_FRAC] = h.microcode_frac
-        pd[PD_MS_PEN] = float(m.ms_switch_penalty)
-        pd[PD_MITE_COEFF] = (1.0 / (m.decode_width * core.MITE_EFFICIENCY)
-                             - 1.0 / width)
-        pd[PD_ITLB_WALK] = m.page_walk_latency * (1 - core.ITLB_OVERLAP)
-        pd[PD_DTLB_WALK] = m.page_walk_latency / h.mlp
-        icache_vis = 1 - core.ICACHE_OVERLAP
-        hidden = (1 - core.DATA_OVERLAP) / h.mlp
-        self._icache_vis = icache_vis
-        self._hidden = hidden
-        pd[PD_ICACHE_L2] = m.l2.latency * icache_vis
-        pd[PD_ICACHE_DRAM] = m.dram_latency * icache_vis
-        pd[PD_L1_HIT] = m.l1d.latency * core.L1_VISIBLE
-        pd[PD_BE_L2] = (m.l2.latency - m.l1d.latency) * hidden
-        pd[PD_BE_DRAM] = (m.dram_latency - m.llc.latency) * hidden
-        # L3 latencies fold in the shared LLC's current contention term
-        # (0.0 for a private LLC) with the exact legacy expression
-        # shapes; refresh_contention() recomputes them after each
-        # update_contention epoch.
-        self.refresh_contention()
-        # Cycle-hook trampoline state: the kernel checks the threshold
-        # (a single `if`, like _op_block) and exits with _STATUS_HOOK.
-        sd[SD_NEXT_HOOK] = core._next_hook_cycles
-        pd[PD_HOOK_INTERVAL] = core.cycle_hook_interval
-        pd[PD_STORE_PEN] = core.STORE_MISS_PENALTY
-        pd[PD_MIS_PEN] = float(m.mispredict_penalty)
-        pd[PD_RESTEER_PEN] = float(m.btb_resteer_penalty)
-        pd[PD_TAKEN_BUBBLE] = core.TAKEN_BRANCH_BUBBLE
-        pd[PD_PF_DRAM] = m.dram_latency * 0.22 / h.mlp
-        vm = core.vm
-        pd[PD_MINOR_FAULT] = float(vm.MINOR_FAULT_CYCLES)
-        pd[PD_MAJOR_FAULT] = float(vm.MAJOR_FAULT_CYCLES)
+        self._entered = False      # between an entry reload and an exit
+        self._vm_key = None        # (len(_demand), _map_epoch) exported
+        pi = self.pi
+        sll = core.shared_llc
+        group = sll._native_group if sll is not None else None
+        owner = group[0] if group else None
+        self._llc_owner = owner is None
 
         # -- caches -------------------------------------------------------
         self.caches = (core.l1i, core.l1d, core.l2, core.llc, core.dsb)
-        self._llc_owner = shared_llc_image is None
         self.cache_arrays = []
         for k, cache in enumerate(self.caches):
-            if k == _C_LLC and shared_llc_image is not None:
-                tags, flags, cnt, stats = shared_llc_image.cache_arrays[k]
+            if k == _C_LLC and owner is not None:
+                arrays = owner.cache_arrays[k]
             else:
-                tags, flags, cnt, stats = _export_cache(cache)
-            self.cache_arrays.append((tags, flags, cnt, stats))
-            self._set_ptr(P_CACHE0 + 4 * k, tags)
-            self._set_ptr(P_CACHE0 + 4 * k + 1, flags)
-            self._set_ptr(P_CACHE0 + 4 * k + 2, cnt)
-            self._set_ptr(P_CACHE0 + 4 * k + 3, stats)
+                arrays = _export_cache(cache)
+            self.cache_arrays.append(arrays)
+            for j, arr in enumerate(arrays):
+                self._set_ptr(P_CACHE0 + 4 * k + j, arr)
             pi[PI_CACHE0 + 4 * k] = cache._index_mask
             pi[PI_CACHE0 + 4 * k + 1] = cache.ways
-            pi[PI_CACHE0 + 4 * k + 2] = int(cache._lru)
-            pi[PI_CACHE0 + 4 * k + 3] = int(cache._evict_head)
-            si[SI_RAND0 + k] = cache._rand_state
 
         # -- TLBs ---------------------------------------------------------
         self.tlbs = (core.itlb.l1, core.dtlb.l1, core.itlb.stlb)
         self.tlb_arrays = []
         for k, tlb in enumerate(self.tlbs):
-            vpns, cnt, stats = _export_tlb(tlb)
-            self.tlb_arrays.append((vpns, cnt, stats))
-            self._set_ptr(P_TLB0 + 3 * k, vpns)
-            self._set_ptr(P_TLB0 + 3 * k + 1, cnt)
-            self._set_ptr(P_TLB0 + 3 * k + 2, stats)
+            arrays = _export_tlb(tlb)
+            self.tlb_arrays.append(arrays)
+            for j, arr in enumerate(arrays):
+                self._set_ptr(P_TLB0 + 3 * k + j, arr)
             pi[PI_TLB0 + 2 * k] = tlb._index_mask
             pi[PI_TLB0 + 2 * k + 1] = tlb.ways
 
         # -- branch unit ---------------------------------------------------
         bu = core.branch_unit
-        bst = bu.stats
-        si[SI_BU_BR] = bst.branches
-        si[SI_BU_MIS] = bst.mispredicts
-        si[SI_BU_BTBM] = bst.btb_misses
-        si[SI_BU_TK] = bst.taken
         gs = bu.predictor
-        si[SI_GS_HIST] = gs._history
         pi[PI_HIST_BITS] = gs.history_bits
         pi[PI_HIST_MASK] = ((1 << gs.history_bits) - 1
                             if gs.history_bits else 0)
@@ -662,13 +626,9 @@ class CoreImage:
         self.lp_order = np.zeros(lp_max, dtype=np.int32)
         self.lp_hkey = np.full(hsize, -1, dtype=np.int64)
         self.lp_hval = np.zeros(hsize, dtype=np.int32)
-        si[SI_LP_CNT] = len(lp._table)
-        si[SI_LP_TOMB] = 0
+        self.si[SI_LP_CNT] = len(lp._table)
         for j, (pc, e) in enumerate(lp._table.items()):
-            self.lp_slab[4 * j] = pc
-            self.lp_slab[4 * j + 1] = e[0]
-            self.lp_slab[4 * j + 2] = e[1]
-            self.lp_slab[4 * j + 3] = e[2]
+            self.lp_slab[4 * j:4 * j + 4] = (pc, e[0], e[1], e[2])
             self.lp_order[j] = j
             hh = _mix(pc) & (hsize - 1)
             while self.lp_hkey[hh] != -1:
@@ -697,23 +657,14 @@ class CoreImage:
         self._set_ptr(P_BTB_TGT, self.btb_tgt)
         self._set_ptr(P_BTB_CNT, self.btb_cnt)
 
-        # -- prefetchers ---------------------------------------------------
-        pf_i, pf_d, pf2 = (core.l1i_prefetcher, core.l1d_prefetcher,
-                           core.l2_prefetcher)
-        si[SI_L1IPF_ISS] = pf_i.stats.issued
-        si[SI_L1IPF_PB] = pf_i.stats.page_bounded
-        si[SI_L1DPF_ISS] = pf_d.stats.issued
-        si[SI_L1DPF_PB] = pf_d.stats.page_bounded
-        si[SI_L2PF_ISS] = pf2.stats.issued
-        si[SI_L2PF_PB] = pf2.stats.page_bounded
-        si[SI_L1IPF_LAST] = pf_i._last_line
-        si[SI_L1DPF_LAST] = pf_d._last_line
+        # -- L2 stream prefetcher ----------------------------------------
+        pf2 = core.l2_prefetcher
         pi[PI_SPF_MAX] = pf2.max_streams
         pi[PI_SPF_DEG] = pf2.degree
         spf_cap = max(1, pf2.max_streams)
         self.spf_page = np.zeros(spf_cap, dtype=np.int64)
         self.spf_line = np.zeros(spf_cap, dtype=np.int64)
-        si[SI_SPF_CNT] = len(pf2._streams)
+        self.si[SI_SPF_CNT] = len(pf2._streams)
         for j, (page, line) in enumerate(pf2._streams.items()):
             self.spf_page[j] = page
             self.spf_line[j] = line
@@ -727,64 +678,121 @@ class CoreImage:
         self.dram_rows = np.full(dram.n_banks, -1, dtype=np.int64)
         for bank, row in dram._open_rows.items():
             self.dram_rows[bank] = row
-        dst = dram.stats
-        self.dram_st = np.array([dst.reads, dst.writes, dst.row_hits,
-                                 dst.row_misses, dst.bytes_read,
-                                 dst.bytes_written], dtype=np.int64)
+        self.dram_st = np.zeros(len(_DRAM_STATS), dtype=np.int64)
         self._set_ptr(P_DRAM_ROWS, self.dram_rows)
         self._set_ptr(P_DRAM_ST, self.dram_st)
 
         # -- shared-LLC epoch counters ------------------------------------
         # The kernel mirrors SharedLlc.access: bump the epoch total and
-        # the slice-hashed bucket on every demand LLC lookup.  The array
-        # is the live store while an image exists; writeback copies it
-        # into the Python fields (overwrite semantics, so repeated
-        # drains are idempotent).  Private LLC: a dummy slot with
-        # PI_LLC_SLICES = 0 disables counting in C.
-        sll = core.shared_llc
+        # the slice-hashed bucket on every demand LLC lookup.  Like the
+        # stats, they are reloaded at entry and published at exit.
+        # Private LLC: a dummy slot with PI_LLC_SLICES = 0 disables
+        # counting in C.
         if sll is None:
             self.llc_epoch = np.zeros(1, dtype=np.int64)
-        elif shared_llc_image is not None:
-            self.llc_epoch = shared_llc_image.llc_epoch
+        elif owner is not None:
+            self.llc_epoch = owner.llc_epoch
             pi[PI_LLC_SLICES] = sll.n_slices
         else:
             self.llc_epoch = np.zeros(1 + sll.n_slices, dtype=np.int64)
-            self.llc_epoch[0] = sll._accesses_this_epoch
-            self.llc_epoch[1:] = sll.slice_accesses
             pi[PI_LLC_SLICES] = sll.n_slices
         self._set_ptr(P_LLC_EPOCH, self.llc_epoch)
 
-        # -- virtual memory ------------------------------------------------
-        vst = vm.stats
-        si[SI_VM_MIN] = vst.minor_faults
-        si[SI_VM_MAJ] = vst.major_faults
-        si[SI_VM_MAPPED] = vst.mapped_pages
-        si[SI_VM_SEQ] = vm._fault_seq
+        self._set_ptr(P_SI, self.si)
+        self._set_ptr(P_SD, self.sd)
+        self._set_ptr(P_PD, self.pd)
+        self._set_ptr(P_PI, self.pi)
+
+        # -- attach ------------------------------------------------------
+        self._enter()
+        if sll is not None:
+            if group is None:
+                group = sll._native_group = []
+            group.append(self)
+        self.group = group
+        core._native_image = self
+        self._release_containers()
+        stats["structure_exports"] += 1
+        if _t0 is not None:
+            obs.add("native.structure_exports", 1.0)
+            obs.observe("native.export_seconds",
+                        (time.perf_counter_ns() - _t0) * 1e-9)
+
+    # ------------------------------------------------------------------
+    def _set_ptr(self, slot: int, arr) -> None:
+        self.ptab[slot] = arr.ctypes.data
+        self._keep.append(arr)
+
+    def _release_containers(self) -> None:
+        """Empty the Python structure containers the arrays now own."""
+        core = self.core
+        for k, cache in enumerate(self.caches):
+            if k != _C_LLC or self._llc_owner:
+                cache._sets = cache._lines = None
+        for tlb in self.tlbs:
+            tlb._sets = tlb._resident = None
+        bu = core.branch_unit
+        bu.predictor._table = None
+        bu.loop_predictor._table = None
+        bu.btb._sets = None
+        core.l2_prefetcher._streams = None
+        core.dram._open_rows = None
+
+    def _import_structures(self) -> None:
+        """Rebuild the Python structure containers from the arrays."""
+        core = self.core
+        for k, cache in enumerate(self.caches):
+            if k != _C_LLC or self._llc_owner:
+                _import_cache(cache, *self.cache_arrays[k][:3])
+        for tlb, arrays in zip(self.tlbs, self.tlb_arrays):
+            _import_tlb(tlb, *arrays[:2])
+        sil = self.si.tolist()
+        bu = core.branch_unit
+        idx = np.nonzero(self.gs_pres)[0]
+        bu.predictor._table = dict(zip(idx.tolist(),
+                                       self.gs_val[idx].tolist()))
+        slab = self.lp_slab.tolist()
+        table = {}
+        for j in self.lp_order[:sil[SI_LP_CNT]].tolist():
+            table[slab[4 * j]] = slab[4 * j + 1:4 * j + 4]
+        bu.loop_predictor._table = table
+        btb = bu.btb
+        kl, tl = self.btb_key.tolist(), self.btb_tgt.tolist()
+        btb._sets = [[[kl[base + j], tl[base + j]] for j in range(n)]
+                     for base, n in zip(range(0, len(kl), btb.ways),
+                                        self.btb_cnt.tolist())]
+        n_spf = sil[SI_SPF_CNT]
+        core.l2_prefetcher._streams = dict(zip(
+            self.spf_page[:n_spf].tolist(), self.spf_line[:n_spf].tolist()))
+        core.dram._open_rows = {b: r for b, r in
+                                enumerate(self.dram_rows.tolist())
+                                if r != -1}
+
+    # ------------------------------------------------------------------
+    def _export_vm(self, key) -> None:
+        """Point the kernel at the vm's current page table.
+
+        The page table goes over as the premapped range list (flat
+        [start, end) pairs the kernel binary-searches) plus an
+        open-addressing hash of the demand-faulted pages only, so a
+        SPEC premap of ~10^6 pages costs two ints, not 4x its size in
+        hash slots.  Both are cached on the vm instance keyed by
+        ``key`` = (len(_demand), _map_epoch): touches only grow the
+        demand set, and every premap/unmap bumps the epoch.  After each
+        exit the hash holds exactly ``_demand`` (kernel-added pages are
+        inserted and drained), so the exit refreshes the key and a
+        later attach reuses the arrays.
+        """
+        vm = self.core.vm
         demand = vm._demand
-        si[SI_VM_CNT] = len(demand)
-        frac = vm.major_fault_fraction
-        pi[PI_MAJOR_PERIOD] = (max(1, round(1 / frac)) if frac > 0 else 0)
-        # The page table goes over as the premapped range list (flat
-        # [start, end) pairs the kernel binary-searches) plus an
-        # open-addressing hash of the demand-faulted pages only, so a
-        # SPEC premap of ~10^6 pages costs two ints, not 4x its size in
-        # hash slots.  Both are cached on the vm instance keyed by
-        # (len(_demand), _map_epoch): touches only grow the demand set,
-        # and every premap/unmap bumps the epoch.  After a run the hash
-        # holds exactly ``_demand`` (kernel-added pages are inserted and
-        # drained), so _finish_image refreshes the key and the next
-        # export reuses the arrays.
-        key = (len(demand), vm._map_epoch)
         cached = getattr(vm, "_native_page_hash", None)
         if cached is not None and cached[0] == key:
             _, self.vm_hash, self.vm_log, self.vm_ranges = cached
-            pi[PI_VM_HMASK] = len(self.vm_hash) - 1
         else:
-            _stats["vm_hash_builds"] += 1
-            if _t0 is not None:
+            stats["vm_hash_builds"] += 1
+            if obs.enabled():
                 obs.add("native.vm_hash_builds", 1.0)
             cap = _next_pow2(4 * (len(demand) + 64))
-            pi[PI_VM_HMASK] = cap - 1
             self.vm_hash = np.full(cap, -1, dtype=np.int64)
             if demand:
                 keys = np.fromiter(demand, dtype=np.int64,
@@ -800,26 +808,14 @@ class CoreImage:
             self.vm_ranges[1:2 * len(vm._ends):2] = vm._ends
             vm._native_page_hash = (key, self.vm_hash, self.vm_log,
                                     self.vm_ranges)
-        pi[PI_VM_NRANGES] = len(vm._starts)
+        self.pi[PI_VM_HMASK] = len(self.vm_hash) - 1
+        self.pi[PI_VM_NRANGES] = len(vm._starts)
+        self.si[SI_VM_CNT] = len(demand)
+        self.si[SI_VM_LOGN] = 0
         self._set_ptr(P_VM_HASH, self.vm_hash)
         self._set_ptr(P_VM_LOG, self.vm_log)
         self._set_ptr(P_VM_RANGES, self.vm_ranges)
-
-        self._set_ptr(P_SI, si)
-        self._set_ptr(P_SD, sd)
-        self._set_ptr(P_PD, pd)
-        self._set_ptr(P_PI, pi)
-
-        with _live_lock:
-            _live_images[id(self)] = self
-        if _t0 is not None:
-            obs.observe("native.export_seconds",
-                        (time.perf_counter_ns() - _t0) * 1e-9)
-
-    # ------------------------------------------------------------------
-    def _set_ptr(self, slot: int, arr) -> None:
-        self.ptab[slot] = arr.ctypes.data
-        self._keep.append(arr)
+        self._vm_key = key
 
     def _grow_vm(self) -> None:
         old = self.vm_hash
@@ -864,83 +860,143 @@ class CoreImage:
             sll._accesses_this_epoch = int(ep[0])
             sll.slice_accesses = ep[1:].tolist()
 
-    def sync_scalars(self) -> None:
-        """Publish the cycle-forming scalars without a full writeback.
-
-        Enough for ``core.cycles`` / ``core.counts`` reads between
-        multicore quanta (the round loop's epoch arithmetic); caches,
-        predictors and VM stay in the arrays until the session closes.
-        """
-        core = self.core
-        sd, si = self.sd, self.si
-        core._ideal_cycles = float(sd[SD_IDEAL])
-        for k, b in enumerate(self.buckets):
-            core.stalls[b] = float(sd[SD_ST0 + k])
-        c = core.counts
-        c.instructions = int(si[SI_INSTR])
-        c.kernel_instructions = int(si[SI_KINSTR])
-
     # ------------------------------------------------------------------
-    def writeback(self) -> None:
-        """Reconstruct the Python Core state from the mutated arrays."""
-        _t0 = time.perf_counter_ns() if obs.enabled() else None
+    def _load_params(self) -> None:
+        """Derived constants (legacy expression shapes) and policy flags
+        from the machine, hints, hook interval and vm settings."""
+        core = self.core
+        m, h, pd, pi = core.machine, core.hints, self.pd, self.pi
+        width = m.pipeline_width
+        pd[PD_UOP_FACTOR] = h.uop_factor
+        pd[PD_INV_WIDTH] = 1.0 / width
+        pd[PD_WIDTH] = float(width)
+        ilp = min(h.ilp, width)
+        ports_on = ilp < width
+        pd[PD_PORTS_ON] = 1.0 if ports_on else 0.0
+        pd[PD_PORTS_COEFF] = (1.0 / ilp - 1.0 / width) if ports_on else 0.0
+        pd[PD_DIV_FRAC] = h.div_frac
+        pd[PD_DIV_PEN] = core.DIV_PENALTY
+        pd[PD_MICRO_FRAC] = h.microcode_frac
+        pd[PD_MS_PEN] = float(m.ms_switch_penalty)
+        pd[PD_MITE_COEFF] = (1.0 / (m.decode_width * core.MITE_EFFICIENCY)
+                             - 1.0 / width)
+        pd[PD_ITLB_WALK] = m.page_walk_latency * (1 - core.ITLB_OVERLAP)
+        pd[PD_DTLB_WALK] = m.page_walk_latency / h.mlp
+        icache_vis = 1 - core.ICACHE_OVERLAP
+        hidden = (1 - core.DATA_OVERLAP) / h.mlp
+        self._icache_vis = icache_vis
+        self._hidden = hidden
+        pd[PD_ICACHE_L2] = m.l2.latency * icache_vis
+        pd[PD_ICACHE_DRAM] = m.dram_latency * icache_vis
+        pd[PD_L1_HIT] = m.l1d.latency * core.L1_VISIBLE
+        pd[PD_BE_L2] = (m.l2.latency - m.l1d.latency) * hidden
+        pd[PD_BE_DRAM] = (m.dram_latency - m.llc.latency) * hidden
+        # L3 latencies fold in the shared LLC's current contention term
+        # (0.0 for a private LLC).
+        self.refresh_contention()
+        pd[PD_HOOK_INTERVAL] = core.cycle_hook_interval
+        pd[PD_STORE_PEN] = core.STORE_MISS_PENALTY
+        pd[PD_MIS_PEN] = float(m.mispredict_penalty)
+        pd[PD_RESTEER_PEN] = float(m.btb_resteer_penalty)
+        pd[PD_TAKEN_BUBBLE] = core.TAKEN_BRANCH_BUBBLE
+        pd[PD_PF_DRAM] = m.dram_latency * 0.22 / h.mlp
+        vm = core.vm
+        pd[PD_MINOR_FAULT] = float(vm.MINOR_FAULT_CYCLES)
+        pd[PD_MAJOR_FAULT] = float(vm.MAJOR_FAULT_CYCLES)
+        frac = vm.major_fault_fraction
+        pi[PI_MAJOR_PERIOD] = (max(1, round(1 / frac)) if frac > 0 else 0)
+        for k, cache in enumerate(self.caches):
+            pi[PI_CACHE0 + 4 * k + 2] = int(cache._lru)
+            pi[PI_CACHE0 + 4 * k + 3] = int(cache._evict_head)
+
+    def _load_scalars(self) -> None:
+        """Scalars and stats, Python -> arrays (the entry reload)."""
         core = self.core
         si, sd = self.si, self.sd
-        sil = si.tolist()
         c = core.counts
-        c.instructions = sil[SI_INSTR]
-        c.kernel_instructions = sil[SI_KINSTR]
-        c.branches = sil[SI_BRANCHES]
-        c.loads = sil[SI_LOADS]
-        c.stores = sil[SI_STORES]
-        c.dtlb_load_walks = sil[SI_DTLB_LWALK]
-        c.dtlb_store_walks = sil[SI_DTLB_SWALK]
-        c.itlb_walks = sil[SI_ITLB_WALK]
-        c.uops = float(sd[SD_UOPS])
-        core._ideal_cycles = float(sd[SD_IDEAL])
-        for k, b in enumerate(self.buckets):
-            core.stalls[b] = float(sd[SD_ST0 + k])
+        bu = core.branch_unit
+        bst = bu.stats
+        pf_i, pf_d, pf2 = (core.l1i_prefetcher, core.l1d_prefetcher,
+                           core.l2_prefetcher)
+        vm = core.vm
+        vst = vm.stats
+        si[SI_INSTR:SI_GS_HIST + 1] = (
+            c.instructions, c.kernel_instructions, c.branches, c.loads,
+            c.stores, c.dtlb_load_walks, c.dtlb_store_walks, c.itlb_walks,
+            core._last_code_line, core._last_code_page,
+            core._last_data_vpn, int(core._kernel_mode),
+            bu.predictor._history)
+        si[SI_BU_BR:SI_L1DPF_LAST + 1] = (
+            bst.branches, bst.mispredicts, bst.btb_misses, bst.taken,
+            pf_i.stats.issued, pf_i.stats.page_bounded,
+            pf_d.stats.issued, pf_d.stats.page_bounded,
+            pf2.stats.issued, pf2.stats.page_bounded,
+            pf_i._last_line, pf_d._last_line)
+        si[SI_VM_MIN:SI_VM_SEQ + 1] = (vst.minor_faults, vst.major_faults,
+                                       vst.mapped_pages, vm._fault_seq)
+        si[SI_RAND0:SI_RAND0 + _NCACHE] = [c_._rand_state
+                                           for c_ in self.caches]
+        sd[SD_IDEAL] = core._ideal_cycles
+        sd[SD_UOPS] = c.uops
+        stalls = core.stalls
+        sd[SD_ST0:SD_ST0 + len(self.buckets)] = [stalls[b]
+                                                 for b in self.buckets]
+        sd[SD_NEXT_HOOK] = core._next_hook_cycles
+        for cache, arrays in zip(self.caches, self.cache_arrays):
+            arrays[3][:] = _get_cache_stats(cache.stats)
+        for tlb, arrays in zip(self.tlbs, self.tlb_arrays):
+            arrays[2][:] = _get_tlb_stats(tlb.stats)
+        self.dram_st[:] = _get_dram_stats(core.dram.stats)
+        sll = core.shared_llc
+        if sll is not None:
+            self.llc_epoch[0] = sll._accesses_this_epoch
+            self.llc_epoch[1:] = sll.slice_accesses
+
+    def _enter(self) -> None:
+        """Kernel entry: reload what Python owns between calls."""
+        vm = self.core.vm
+        key = (len(vm._demand), vm._map_epoch)
+        if key != self._vm_key:
+            self._export_vm(key)
+        self._load_params()
+        self._load_scalars()
+        with _live_lock:
+            _live_images[id(self)] = self
+        self._entered = True
+
+    def _publish(self) -> None:
+        """Kernel exit: scalars and stats, arrays -> Python."""
+        core = self.core
+        sil = self.si.tolist()
+        sdl = self.sd.tolist()
+        c = core.counts
+        (c.instructions, c.kernel_instructions, c.branches, c.loads,
+         c.stores, c.dtlb_load_walks, c.dtlb_store_walks,
+         c.itlb_walks) = sil[SI_INSTR:SI_ITLB_WALK + 1]
         core._last_code_line = sil[SI_LAST_CODE_LINE]
         core._last_code_page = sil[SI_LAST_CODE_PAGE]
         core._last_data_vpn = sil[SI_LAST_DATA_VPN]
         core._kernel_mode = bool(sil[SI_KMODE])
-        core._next_hook_cycles = float(sd[SD_NEXT_HOOK])
+        c.uops = sdl[SD_UOPS]
+        core._ideal_cycles = sdl[SD_IDEAL]
+        stalls = core.stalls
+        for k, b in enumerate(self.buckets):
+            stalls[b] = sdl[SD_ST0 + k]
+        core._next_hook_cycles = sdl[SD_NEXT_HOOK]
 
         for k, cache in enumerate(self.caches):
-            if k == _C_LLC and not self._llc_owner:
-                continue        # the owning image writes the shared LLC
-            _import_cache(cache, *self.cache_arrays[k])
+            _set_fields(cache.stats, _CACHE_STATS,
+                        self.cache_arrays[k][3].tolist())
             cache._rand_state = sil[SI_RAND0 + k]
-        if self._llc_owner:
-            self._drain_llc_epoch()
-        for k, tlb in enumerate(self.tlbs):
-            _import_tlb(tlb, *self.tlb_arrays[k])
+        for tlb, arrays in zip(self.tlbs, self.tlb_arrays):
+            _set_fields(tlb.stats, _TLB_STATS, arrays[2].tolist())
+        self._drain_llc_epoch()
 
         bu = core.branch_unit
         bst = bu.stats
-        bst.branches = sil[SI_BU_BR]
-        bst.mispredicts = sil[SI_BU_MIS]
-        bst.btb_misses = sil[SI_BU_BTBM]
-        bst.taken = sil[SI_BU_TK]
-        gs = bu.predictor
-        gs._history = sil[SI_GS_HIST]
-        idx = np.nonzero(self.gs_pres)[0]
-        gs._table = dict(zip(idx.tolist(),
-                             self.gs_val[idx].tolist()))
-        lp = bu.loop_predictor
-        slab = self.lp_slab.tolist()
-        table = {}
-        for j in self.lp_order[:sil[SI_LP_CNT]].tolist():
-            table[slab[4 * j]] = [slab[4 * j + 1], slab[4 * j + 2],
-                                  slab[4 * j + 3]]
-        lp._table = table
-        btb = bu.btb
-        kl, tl = self.btb_key.tolist(), self.btb_tgt.tolist()
-        for s_i, n in enumerate(self.btb_cnt.tolist()):
-            base = s_i * btb.ways
-            btb._sets[s_i] = [[kl[base + j], tl[base + j]]
-                              for j in range(n)]
-
+        (bst.branches, bst.mispredicts, bst.btb_misses,
+         bst.taken) = sil[SI_BU_BR:SI_BU_TK + 1]
+        bu.predictor._history = sil[SI_GS_HIST]
         pf_i, pf_d, pf2 = (core.l1i_prefetcher, core.l1d_prefetcher,
                            core.l2_prefetcher)
         pf_i.stats.issued = sil[SI_L1IPF_ISS]
@@ -951,16 +1007,7 @@ class CoreImage:
         pf2.stats.page_bounded = sil[SI_L2PF_PB]
         pf_i._last_line = sil[SI_L1IPF_LAST]
         pf_d._last_line = sil[SI_L1DPF_LAST]
-        n_spf = sil[SI_SPF_CNT]
-        pf2._streams = dict(zip(self.spf_page[:n_spf].tolist(),
-                                self.spf_line[:n_spf].tolist()))
-
-        dram = core.dram
-        rows = self.dram_rows.tolist()
-        dram._open_rows = {b: r for b, r in enumerate(rows) if r != -1}
-        dst = dram.stats
-        (dst.reads, dst.writes, dst.row_hits, dst.row_misses,
-         dst.bytes_read, dst.bytes_written) = self.dram_st.tolist()
+        _set_fields(core.dram.stats, _DRAM_STATS, self.dram_st.tolist())
 
         vm = core.vm
         self._drain_vm_log()
@@ -968,8 +1015,39 @@ class CoreImage:
         vm.stats.major_faults = sil[SI_VM_MAJ]
         vm.stats.mapped_pages = sil[SI_VM_MAPPED]
         vm._fault_seq = sil[SI_VM_SEQ]
+        # The hash now holds exactly ``_demand``: refresh the reuse key.
+        key = (len(vm._demand), vm._map_epoch)
+        self._vm_key = key
+        vm._native_page_hash = (key, self.vm_hash, self.vm_log,
+                                self.vm_ranges)
 
         self._drain_retired(sil)
+        self._entered = False
+
+    # ------------------------------------------------------------------
+    def writeback(self, sync: bool = False) -> None:
+        """Publish scalars and stats to the Python Core (a kernel exit).
+
+        A no-op for the scalars when the image has not been entered
+        since its last exit: Python is authoritative then.  With
+        ``sync=True`` it also imports the structures of this image and
+        of every image sharing its LLC, and detaches them all; the
+        cores' next vector consume attaches afresh.
+        """
+        _t0 = time.perf_counter_ns() if obs.enabled() else None
+        if self._entered:
+            self._publish()
+        if sync and self.core._native_image is self:
+            images = tuple(self.group) if self.group is not None \
+                else (self,)
+            for img in images:
+                img._import_structures()
+                img.core._native_image = None
+            if self.group is not None:
+                self.core.shared_llc._native_group = None
+            stats["structure_imports"] += len(images)
+            if _t0 is not None:
+                obs.add("native.structure_imports", float(len(images)))
         if _t0 is not None:
             obs.observe("native.writeback_seconds",
                         (time.perf_counter_ns() - _t0) * 1e-9)
@@ -981,7 +1059,8 @@ class CoreImage:
         BAD-status path writes back before raising, then the caller's
         ``finally`` writes back again), and dropping the image from the
         live registry keeps ``ops_retired()`` from counting the drained
-        span twice.
+        span twice — and keeps the registry from holding an attached
+        image alive after its core is dropped.
         """
         retired = sil[SI_OPS_RETIRED]
         if retired:
@@ -1002,14 +1081,18 @@ class CoreImage:
     def run_buffer(self, buf, start: int, limit) -> tuple[int, int]:
         """Run the kernel over one sealed trace buffer from ``start``.
 
-        Returns ``(next_pos, status)`` where status is ``_STATUS_DONE``
-        (chunk exhausted), ``_STATUS_LIMIT`` (instruction limit reached)
-        or ``_STATUS_HOOK`` (the cycle-hook threshold fired: the caller
-        must write state back, run the Python hook against the live
-        core, and re-enter from ``next_pos``).  Event-hook callbacks are
+        The first call after an exit is the kernel entry: it reloads the
+        scalars and stats Python owns (see :meth:`_enter`).  Returns
+        ``(next_pos, status)`` where status is ``_STATUS_DONE`` (chunk
+        exhausted), ``_STATUS_LIMIT`` (instruction limit reached) or
+        ``_STATUS_HOOK`` (the cycle-hook threshold fired: the caller
+        must publish state, run the Python hook against the live core,
+        and re-enter from ``next_pos``).  Event-hook callbacks are
         replayed from the kernel's event log with the exact cycle stamps
         the legacy engine would have produced.
         """
+        if not self._entered:
+            self._enter()
         lib = get_lib()
         kinds, a0, a1, a2, n_ev = _columns(buf)
         n_ops = len(kinds)
@@ -1088,45 +1171,28 @@ def _columns(buf):
 # ---------------------------------------------------------------------------
 # Driver.
 
-def _finish_image(img) -> None:
-    """Write an image back and refresh the VM page-table reuse key.
-
-    After writeback the hash holds exactly ``vm._demand`` (kernel
-    inserts were drained) and the range list is untouched, so the next
-    export reuses the arrays — which is what keeps hook-trampoline
-    rebuilds cheap.  See CoreImage's vm export.
-    """
-    img.writeback()
-    vm = img.core.vm
-    vm._native_page_hash = ((len(vm._demand), vm._map_epoch),
-                            img.vm_hash, img.vm_log, img.vm_ranges)
+def attach(core) -> CoreImage:
+    """``core``'s attached image, exporting a new one if it has none."""
+    return core._native_image or CoreImage(core)
 
 
-def consume_stream_native(core, stream, max_instructions=None) -> int:
-    """Vector-engine counterpart of ``Core.consume_stream``.
+def _drive(core, stream, limit) -> bool:
+    """Run ``core``'s attached image over ``stream`` up to ``limit``.
 
-    Callers must have checked :func:`available` and :func:`nativizable`.
-    Returns the number of instructions executed, with all core state
-    (counters, stalls, caches, predictors, VM) bit-identical to what the
-    legacy engine would have produced over the same ops.
-
-    Armed cycle hooks run through the trampoline: the kernel exits with
-    ``_STATUS_HOOK`` at the block op that crossed the threshold, state
-    is written back, the Python hook runs against the live ``Core``
-    (it may read or mutate anything), and the kernel re-enters with a
-    fresh image — preserving the legacy hook-before-limit ordering.
+    Each HOOK exit publishes scalars and stats, runs the Python hook
+    against the live ``Core`` (it may read or mutate any of them, or
+    call ``core.sync_native()`` to read structures), and re-enters with
+    the same image — preserving the legacy hook-before-limit ordering.
+    Returns ``False`` when a hook left the core in a configuration the
+    kernel does not model; the caller finishes on the Python engine.
     """
     counts = core.counts
-    start_instr = counts.instructions
-    limit = (start_instr + max_instructions
-             if max_instructions is not None else None)
-    stats["consume_calls"] += 1
-    img = CoreImage(core)
+    img = attach(core)
     try:
         while True:
             buf = stream.buffer()
             if buf is None:
-                break
+                return True
             _t0 = time.perf_counter() if obs.enabled() else None
             next_pos, status = img.run_buffer(buf, stream.pos, limit)
             if _t0 is not None:
@@ -1137,72 +1203,79 @@ def consume_stream_native(core, stream, max_instructions=None) -> int:
                 stats["hook_exits"] += 1
                 if obs.enabled():
                     obs.add("native.hook_exits", 1.0)
-                _finish_image(img)
-                img = None
+                img.writeback()
                 core.cycle_hook(core)
                 if limit is not None and counts.instructions >= limit:
-                    break
-                img = CoreImage(core)
-                continue
-            if status == _STATUS_LIMIT:
-                break
+                    return True
+                if delegation_reason(core) is not None:
+                    return False
+                img = attach(core)
+            elif status == _STATUS_LIMIT:
+                return True
     finally:
-        if img is not None:
-            _finish_image(img)
-    return counts.instructions - start_instr
+        img.writeback()
+
+
+def consume_stream_native(core, stream, max_instructions=None) -> int:
+    """Vector-engine counterpart of ``Core.consume_stream``.
+
+    Callers must have checked :func:`available` and :func:`nativizable`.
+    Returns the number of instructions executed.  Counters, stalls and
+    stats land in the Python ``Core`` on return, bit-identical to what
+    the legacy engine would have produced over the same ops; caches,
+    predictors and the other structures stay resident in the core's
+    image until ``core.sync_native()``.  Armed cycle hooks run through
+    the trampoline (see :func:`_drive`).
+    """
+    return _consume(core, stream, max_instructions)
+
+
+def _consume(core, stream, max_instructions) -> int:
+    """The body of one consume request or multicore quantum.
+
+    Separate from :func:`consume_stream_native` so that a quantum is
+    not counted or timed as a ``Core.consume_stream`` request.
+    """
+    counts = core.counts
+    start_instr = counts.instructions
+    limit = (start_instr + max_instructions
+             if max_instructions is not None else None)
+    stats["consume_calls"] += 1
+    if _drive(core, stream, limit):
+        return counts.instructions - start_instr
+    done = counts.instructions - start_instr
+    rest = None if limit is None else limit - counts.instructions
+    return done + core.consume_stream(stream, rest, engine="vector")
 
 
 # ---------------------------------------------------------------------------
-# Multicore session: persistent images across interleaved quanta.
+# Multicore session: interleaved quanta over the attached images.
 
 class NativeMulticoreSession:
-    """Per-core images kept alive across the multicore round loop.
+    """One ``MulticoreRunner.run`` round loop on the kernel.
 
     A fresh export + writeback per 4k-instruction quantum would dominate
-    the run (that cost is amortized over ~50x more instructions on the
-    single-core path).  The session exports each core once per
-    ``MulticoreRunner.run`` call, aliases the shared LLC's arrays (tags,
-    flags, counts, stats, epoch counters) into every image so the
-    kernels see one coherent LLC, and at quantum boundaries syncs only
-    the cycle-forming scalars the round loop reads.  The LLC's eviction
-    RNG state lives in per-image scalar slots, so it is carried from the
-    core that last ran to the next one.
+    the run.  The session attaches every core once (the images, with the
+    shared LLC's arrays aliased into all of them, stay attached across
+    quanta, hook exits and later runs) and each quantum is one kernel
+    entry and exit: the exit publishes the scalars, stats and epoch
+    counters the round loop and the sampler read.  The shared LLC's
+    eviction RNG state is one of those scalars, so each quantum hands
+    it from the core that last ran to the next through
+    ``SharedLlc.cache._rand_state``.
 
     ``SharedLlc.update_contention`` stays in Python, unchanged: call
     :meth:`sync_epoch` just before it (publishes + zeroes the epoch
     counters) and :meth:`refresh_contention` right after (re-derives the
     L3 stall constants in every image).
-
-    A cycle hook mid-quantum tears the whole session down (full
-    writeback of every core), runs the hook against the live cores, and
-    rebuilds — hooks fire every few million cycles, so the rebuild cost
-    is noise while correctness is unconditional.
     """
 
     def __init__(self, cores) -> None:
         self.cores = list(cores)
         self.llc = self.cores[0].shared_llc
-        self.images = None
         stats["sessions"] += 1
-        self._build()
-
-    def _build(self) -> None:
-        primary = CoreImage(self.cores[0])
-        self.images = [primary]
-        for core in self.cores[1:]:
-            self.images.append(CoreImage(core, shared_llc_image=primary))
-        self._llc_rand = self.llc.cache._rand_state
-
-    def _teardown(self) -> None:
-        owner = self.images[0]
-        owner.si[SI_RAND0 + _C_LLC] = self._llc_rand
-        for img in self.images:
-            _finish_image(img)
-        self.images = None
-
-    def close(self) -> None:
-        if self.images is not None:
-            self._teardown()
+        for core in self.cores:
+            attach(core)
 
     def sync_epoch(self) -> None:
         """Publish epoch counters to the SharedLlc and restart the epoch.
@@ -1211,47 +1284,25 @@ class NativeMulticoreSession:
         consumes and zeroes the Python fields, while the array restarts
         from zero for the next epoch's kernel increments.
         """
-        owner = self.images[0]
-        owner._drain_llc_epoch()
-        owner.llc_epoch[:] = 0
+        group = self.llc._native_group
+        if group:
+            owner = group[0]
+            owner._drain_llc_epoch()
+            owner.llc_epoch[:] = 0
 
     def refresh_contention(self) -> None:
         """Re-derive every image's L3 constants after update_contention."""
-        for img in self.images:
-            img.refresh_contention()
+        for core in self.cores:
+            if core._native_image is not None:
+                core._native_image.refresh_contention()
 
     def consume(self, core_index: int, stream, max_instructions: int) -> int:
         """Quantum-interleaved counterpart of ``consume_stream_native``."""
         core = self.cores[core_index]
-        img = self.images[core_index]
-        start_instr = int(img.si[SI_INSTR])
-        limit = start_instr + max_instructions
-        img.si[SI_RAND0 + _C_LLC] = self._llc_rand
-        stats["consume_calls"] += 1
-        while True:
-            buf = stream.buffer()
-            if buf is None:
-                break
-            next_pos, status = img.run_buffer(buf, stream.pos, limit)
-            stream.pos = next_pos
-            if status == _STATUS_HOOK:
-                stats["hook_exits"] += 1
-                if obs.enabled():
-                    obs.add("native.hook_exits", 1.0)
-                self._llc_rand = int(img.si[SI_RAND0 + _C_LLC])
-                self._teardown()
-                core.cycle_hook(core)
-                self._build()
-                img = self.images[core_index]
-                img.si[SI_RAND0 + _C_LLC] = self._llc_rand
-                if core.counts.instructions >= limit:
-                    break
-                continue
-            if status == _STATUS_LIMIT:
-                break
-        self._llc_rand = int(img.si[SI_RAND0 + _C_LLC])
-        img.sync_scalars()
-        return int(img.si[SI_INSTR]) - start_instr
+        if core._native_image is None and delegation_reason(core):
+            return core.consume_stream(stream, max_instructions,
+                                       engine="vector")
+        return _consume(core, stream, max_instructions)
 
 
 def multicore_session(cores, streams):

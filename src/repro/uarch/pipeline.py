@@ -200,12 +200,51 @@ class Core:
         #: engine the latest consume call actually ran ("legacy",
         #: "batched" or "vector"); None before the first call
         self.last_engine = None
+        #: the native image holding this core's structures between
+        #: vector consume calls (see :meth:`sync_native`), or None
+        self._native_image = None
+
+    def __getstate__(self) -> dict:
+        self.sync_native()          # never pickle structures left in C
+        return self.__dict__
+
+    def sync_native(self) -> None:
+        """Bring structures resident in the native kernel back to Python.
+
+        The vector engine keeps caches, TLBs, predictors, prefetcher
+        streams and DRAM rows in the core's native image from the first
+        vector consume on; while it is attached their Python containers
+        are ``None``.  Counters, stalls and every ``.stats`` object are
+        always current after a consume call returns.  Call this before
+        reading structure state (cache contents, predictor tables);
+        every Python engine entry and pickling call it implicitly.  For
+        cores sharing an LLC it syncs all of them, also when this core
+        has no image of its own but the LLC's arrays live in another
+        core's.  A no-op when nothing is attached.  Sync before swapping
+        a structure object (a cache, TLB, predictor, prefetcher, DRAM
+        model or VM) on a core that has run on the vector engine.
+        """
+        img = self._native_image
+        if img is None and self.shared_llc is not None:
+            group = self.shared_llc._native_group
+            img = group[0] if group else None
+        if img is not None:
+            img.writeback(sync=True)
 
     # ------------------------------------------------------------------
     def set_hints(self, hints: WorkloadHints) -> None:
         self.hints = hints
 
     def set_cycle_hook(self, hook, interval_cycles: float) -> None:
+        """Call ``hook(core)`` every ``interval_cycles`` simulated cycles.
+
+        On the vector engine the hook runs at a kernel exit that has
+        published counters, stalls and every ``.stats`` object, and
+        anything it changes among those is reloaded when the kernel
+        re-enters.  Structures stay resident in the native image: a hook
+        that reads cache or predictor contents must call
+        :meth:`sync_native` first.
+        """
         self.cycle_hook = hook
         self.cycle_hook_interval = interval_cycles
         self._next_hook_cycles = self.cycles + interval_cycles
@@ -474,6 +513,7 @@ class Core:
         Returns the number of instructions executed.  Stops early once
         ``max_instructions`` is reached (checked at block granularity).
         """
+        self.sync_native()
         self.last_engine = "legacy"
         start = self.counts.instructions
         limit = (start + max_instructions
@@ -520,9 +560,12 @@ class Core:
         kernel (:mod:`repro.uarch.native`) when it is available and this
         core's configuration is one the kernel models exactly — which
         includes armed cycle hooks (the kernel exits with a ``HOOK``
-        resume code, the hook runs in Python against written-back state,
-        and the kernel re-enters) and the stock shared LLC (slice
-        counting in C, contention math in Python).  Any other case falls
+        resume code, the hook runs in Python against published counters
+        and stats, and the kernel re-enters) and the stock shared LLC
+        (slice counting in C, contention math in Python).  Structure
+        state then stays resident in the kernel across calls until
+        :meth:`sync_native`, which this method calls itself before
+        running any Python engine.  Any other case falls
         back to the batched loop below, which handles the full model —
         loudly: :func:`repro.uarch.native.note_delegation` counts every
         fallback under ``native.delegated{reason=...}`` and warns once
@@ -538,6 +581,7 @@ class Core:
                 return native.consume_stream_native(self, stream,
                                                     max_instructions)
             native.note_delegation(reason)
+        self.sync_native()
         self.last_engine = "batched"
         counts = self.counts
         start = counts.instructions
@@ -567,6 +611,7 @@ class Core:
         Semantically identical to feeding ``buf.iter_ops()`` to
         :meth:`consume`.
         """
+        self.sync_native()
         kinds = buf.kinds
         a0 = buf.a0
         a1 = buf.a1
@@ -624,6 +669,7 @@ class Core:
         replacement, fill and prefetch semantics stay in one place, and
         the two engines produce bit-identical results.
         """
+        self.sync_native()
         if buf.lines is None:
             buf.seal()
         kinds = buf.kinds

@@ -265,6 +265,49 @@ class TestRunnerFallback:
         # the store now holds a fresh valid entry under the same key
         assert store.lookup(key, 1) is not None
 
+    def test_bit_flip_between_warm_runs_is_quarantined(self, tmp_path,
+                                                       monkeypatch):
+        """Warm runs replay the worker's decoded chunks without reading
+        the file; a byte flipped in place changes the file's identity,
+        so the next run verifies it again, quarantines it and
+        regenerates — and the result equals the clean run."""
+        from repro.exec import warm
+        from repro.harness.runner import Fidelity, run_workload
+        from repro.uarch.machine import get_machine
+
+        monkeypatch.delenv("REPRO_WARM_MODELS", raising=False)
+        cache = warm.WarmCache()
+        monkeypatch.setattr(warm, "_CACHE", cache)
+        fid = Fidelity(warmup_instructions=6_000,
+                       measure_instructions=10_000)
+        spec = _spec()
+        machine = get_machine("i9")
+        store = TraceStore(tmp_path)
+        clean = run_workload(spec, machine, fid, trace_store=store)
+        (key,) = store.keys()
+        path = store.trace_path(key)
+
+        warm_run = run_workload(spec, machine, fid, trace_store=store)
+        assert cache.buffer_hits == 1
+        assert warm_run.counters == clean.counters
+        assert not store.corrupt_dir.exists()
+
+        before = warm.file_identity(path)
+        size = path.stat().st_size
+        with path.open("r+b") as fh:
+            fh.seek(size // 2)
+            byte = fh.read(1)[0]
+            fh.seek(size // 2)
+            fh.write(bytes([byte ^ 0xFF]))
+        assert warm.file_identity(path) != before
+
+        rerun = run_workload(spec, machine, fid, trace_store=store)
+        assert cache.buffer_hits == 1            # the flip forced a miss
+        assert any(store.corrupt_dir.iterdir())  # quarantined
+        assert store.lookup(key, 1) is not None  # regenerated, valid
+        assert rerun.counters == clean.counters
+        assert rerun.topdown == clean.topdown
+
 
 class TestArrayColumns:
     """Generated buffers carry ``array('q')`` columns; the store must

@@ -59,6 +59,7 @@ def _build(spec, machine, seed=0, **kw):
 
 def _state(core) -> dict:
     """Every observable piece of core state, keyed for diffability."""
+    core.sync_native()
     d = {}
     c = core.counts
     for f in ("instructions", "kernel_instructions", "branches", "loads",

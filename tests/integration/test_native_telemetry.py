@@ -12,7 +12,10 @@ the telemetry is *exact*, not approximate:
   never double-counts across writeback (drain is idempotent),
 * with obs enabled, the counters and export/run/writeback phase
   timings land in the metrics registry, matching ``native.stats``
-  deltas bit-for-bit.
+  deltas bit-for-bit,
+* the boundary census: a run exports each core's structures once
+  (warmup, measure, hook exits and multicore quanta reuse the attached
+  image) and imports none back unless something syncs.
 """
 
 from __future__ import annotations
@@ -198,6 +201,82 @@ def test_phase_timings_and_counters_land_in_registry(tmp_path):
               "native.writeback_seconds"):
         assert hists[h]["count"] > 0
     assert hists["native.run_seconds"]["count"] == delta["kernel_calls"]
+
+
+@needs_native
+def test_structure_census_single_core():
+    """One vector run_workload attaches once and imports nothing, with
+    or without sampler hook exits; the obs counters agree."""
+    from repro.harness.runner import Fidelity, run_workload
+
+    machine = get_machine("i9")
+    for sampling in (False, True):
+        before = dict(native.stats)
+        run_workload(_spec_of("System.Runtime"), machine, Fidelity.test(),
+                     engine="vector", sampling=sampling,
+                     sample_interval=1e-6)
+        delta = _delta(before)
+        assert delta["structure_exports"] == 1
+        assert delta["structure_imports"] == 0
+        assert (delta["hook_exits"] > 0) == sampling
+
+
+@needs_native
+def test_structure_census_multicore():
+    """A sampled 4-core run attaches each core once across warmup,
+    measure and every hook exit, and imports nothing."""
+    from repro.harness.runner import Fidelity, run_multicore
+
+    fid = Fidelity(warmup_instructions=4_000, measure_instructions=8_000)
+    before = dict(native.stats)
+    run_multicore(_spec_of("Json"), get_machine("i9"), 4, fid,
+                  engine="vector", sampling=True, sample_interval=1e-6)
+    delta = _delta(before)
+    assert delta["sessions"] == 2
+    assert delta["hook_exits"] > 0
+    assert delta["structure_exports"] == 4
+    assert delta["structure_imports"] == 0
+
+
+@needs_native
+def test_structure_census_lands_in_registry(tmp_path):
+    ops = _ops(2000, seed=34)
+    obs.configure(tmp_path / "obs", spans=False)
+    try:
+        before = dict(native.stats)
+        core = Core(get_machine("i9"), VirtualMemory())
+        stream = TraceBufferStream(ops=iter(ops), chunk_instructions=4096)
+        core.consume_stream(stream, max_instructions=3000, engine="vector")
+        core.consume_stream(stream, engine="vector")
+        core.sync_native()
+        delta = _delta(before)
+        counters = obs.metrics_snapshot()["counters"]
+    finally:
+        obs.shutdown(dump=False)
+    assert delta["structure_exports"] == delta["structure_imports"] == 1
+    assert counters["native.structure_exports"] == 1
+    assert counters["native.structure_imports"] == 1
+
+
+@needs_native
+def test_ops_retired_exact_across_warmup_and_measure():
+    """Warmup, reset and measure on one resident image: every op is
+    retired exactly once, live or drained."""
+    ops = _ops(4000, seed=35)
+    core = Core(get_machine("i9"), VirtualMemory())
+    base = native.ops_retired()
+    before = dict(native.stats)
+    stream = TraceBufferStream(ops=iter(ops), chunk_instructions=4096)
+    core.consume_stream(stream, max_instructions=5000, engine="vector")
+    warm = native.ops_retired() - base
+    assert 0 < warm < len(ops)
+    core.reset_stats()
+    core.consume_stream(stream, engine="vector")
+    assert core._native_image is not None      # still attached
+    assert native.ops_retired() - base == len(ops)
+    assert _delta(before)["ops_retired"] == len(ops)
+    core.sync_native()
+    assert native.ops_retired() - base == len(ops)
 
 
 @needs_native
