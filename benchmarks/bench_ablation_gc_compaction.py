@@ -6,12 +6,11 @@ churned objects stay scattered forever: fragmentation grows without bound
 and the dense-heap benefits disappear while the GC overhead remains.
 """
 
-import itertools
-
 from repro.harness.report import format_table
 from repro.harness.runner import Fidelity, run_workload
 from repro.runtime.gc import GcConfig, SERVER
 from repro.runtime.heap import HeapConfig
+from repro.trace import TraceBuffer
 from repro.workloads.dotnet import dotnet_category_specs
 from repro.workloads.program import build_program
 
@@ -32,8 +31,9 @@ def test_ablation_gc_compaction(benchmark, fidelity, machine_i9, emit):
             heap_config=HeapConfig(max_heap_bytes=gc.max_heap_bytes,
                                    gen0_budget_bytes=gc.gen0_budget()),
             gc_config=gc, compaction_enabled=compaction)
-        for _ in itertools.islice(prog.ops(), 200_000):
-            pass
+        buf = TraceBuffer()
+        while len(buf) < 200_000:
+            prog.fill_buffer(buf, 1)        # one work item per call
         return prog.clr.live_set.fragmentation
 
     def run():

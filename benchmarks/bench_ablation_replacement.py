@@ -8,7 +8,7 @@ claims rest on must not.
 """
 
 from repro.harness.report import format_table
-from repro.harness.runner import Fidelity, run_workload
+from repro.harness.runner import Fidelity, resolve_engine
 from repro.uarch.cache import ReplacementPolicy
 from repro.uarch import pipeline as pl
 from repro.workloads.aspnet import aspnet_specs
@@ -27,6 +27,7 @@ def _run_with_policy(spec, machine, fid, policy):
     from repro.kernel.vm import VirtualMemory
     from repro.perf.counters import collect_counters
     from repro.perf.tracer import LttngTracer
+    from repro.trace import TraceBufferStream
     from repro.uarch.cache import Cache
     from repro.workloads.program import build_program
 
@@ -44,11 +45,12 @@ def _run_with_policy(spec, machine, fid, policy):
     core.event_hook = tracer.hook
     program = build_program(spec, seed=3, code_bloat=machine.code_bloat)
     program.premap(vm)
-    ops = program.ops()
-    core.consume(ops, max_instructions=fid.warmup_instructions)
+    stream = TraceBufferStream(filler=program.fill_buffer)
+    engine = resolve_engine(None)
+    core.consume_stream(stream, fid.warmup_instructions, engine=engine)
     core.reset_stats()
     tracer.clear()
-    core.consume(ops, max_instructions=fid.measure_instructions)
+    core.consume_stream(stream, fid.measure_instructions, engine=engine)
     return collect_counters(core, tracer.counts)
 
 

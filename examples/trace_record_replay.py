@@ -18,7 +18,9 @@ from pathlib import Path
 from repro.harness.report import format_table
 from repro.kernel.vm import VirtualMemory
 from repro.perf.counters import collect_counters
-from repro.perf.trace_io import record, replay, trace_info
+from repro.harness.runner import resolve_engine
+from repro.perf.trace_io import record_program, replay_buffers, trace_info
+from repro.trace import TraceBufferStream
 from repro.uarch.machine import CacheConfig, get_machine, scaled
 from repro.uarch.pipeline import Core
 from repro.workloads.aspnet import aspnet_specs
@@ -41,7 +43,7 @@ def main() -> int:
     path = Path(args.out) if args.out else \
         Path(tempfile.mkstemp(suffix=".trace")[1])
     program = build_program(spec, seed=7)
-    n = record(program.ops(), path, max_instructions=args.instructions)
+    n = record_program(program, path, args.instructions)
     info = trace_info(path)
     print(f"recorded {n} instructions to {path} "
           f"({info['bytes'] / 1024:.0f} KiB)")
@@ -61,7 +63,8 @@ def main() -> int:
         vm = VirtualMemory()
         core = Core(machine, vm)
         core.set_hints(spec.hints())
-        core.consume(replay(path))
+        core.consume_stream(TraceBufferStream(buffers=replay_buffers(path)),
+                            engine=resolve_engine(None))
         c = collect_counters(core)
         rows.append([label, c.cpi, c.mpki(c.l1d_misses),
                      c.mpki(c.l2_misses), c.mpki(c.llc_misses)])

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.trace import (OP_BLOCK, OP_BRANCH, OP_LOAD, OP_STORE,
-                         _KERNEL_BIT, pulled)
+                         _KERNEL_BIT)
 
 
 @dataclass(frozen=True)
@@ -392,23 +392,6 @@ class CodeRegion:
                 + int(self._table[_RT_HDR + 2 * n + n - 1]))
 
     # ------------------------------------------------------------------
-    def walk(self, rng: random.Random, n_instructions: int,
-             load_addr=None, store_addr=None, is_kernel: bool = False,
-             entry: int | None = None, *, model: AddressModel | None = None):
-        """Yield ops for roughly ``n_instructions`` of execution.
-
-        The pull form of :meth:`walk_into`: the whole walk is pushed into
-        a scratch buffer on the first ``next()`` and yielded back as
-        tuples.  Generating it eagerly is equivalent to generating it op
-        by op because while the generator is suspended nothing else draws
-        from ``rng`` or mutates the state the address model reads (the
-        managed live set, the recency rings): the program that owns them
-        is suspended in the same ``yield from`` chain
-        (:func:`repro.trace.pulled`).
-        """
-        return pulled(self.walk_into, rng, n_instructions, load_addr,
-                      store_addr, is_kernel, entry, model=model)
-
     def walk_into(self, buf, rng: random.Random, n_instructions: int,
                   load_addr=None, store_addr=None, is_kernel: bool = False,
                   entry: int | None = None, *,

@@ -6,7 +6,10 @@ performance for ASP.NET ... we ran the benchmarks in warmup mode for a
 long duration and progressively reduced the warmup period while ensuring
 the steady state measurements had a variance of less than 5%."
 
-This module implements both halves against the simulator:
+This module implements both halves against the simulator, on the
+default engine (:func:`repro.harness.runner.resolve_engine`): one
+:class:`~repro.trace.TraceBufferStream` per process feeds every window,
+so each window resumes exactly where the previous one stopped.
 
 * :func:`repeated_runs` — the microbenchmark protocol: k measurement
   windows over one warm process, first window discarded;
@@ -22,9 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.harness.runner import resolve_engine
 from repro.kernel.vm import VirtualMemory
 from repro.perf.counters import collect_counters
 from repro.perf.tracer import LttngTracer
+from repro.trace import TraceBufferStream
 from repro.uarch.machine import MachineConfig
 from repro.uarch.pipeline import Core
 from repro.workloads.program import build_program
@@ -81,11 +86,24 @@ class VarianceReport:
         return self.cpi_cv < threshold
 
 
-def _window(core: Core, tracer: LttngTracer, ops, n: int,
+def _process(spec: WorkloadSpec, machine: MachineConfig, seed: int):
+    """One warm process: core, tracer and the program's op stream."""
+    vm = VirtualMemory()
+    core = Core(machine, vm)
+    core.set_hints(spec.hints())
+    tracer = LttngTracer(machine.max_freq_hz)
+    core.event_hook = tracer.hook
+    program = build_program(spec, seed=seed,
+                            code_bloat=machine.code_bloat)
+    program.premap(vm)
+    return core, tracer, TraceBufferStream(filler=program.fill_buffer)
+
+
+def _window(core: Core, tracer: LttngTracer, stream, n: int,
             index: int) -> WindowMeasurement:
     core.reset_stats()
     tracer.clear()
-    core.consume(ops, max_instructions=n)
+    core.consume_stream(stream, n, engine=resolve_engine(None))
     c = collect_counters(core, tracer.counts)
     return WindowMeasurement(
         index=index, instructions=c.instructions, cycles=c.cycles,
@@ -99,16 +117,8 @@ def repeated_runs(spec: WorkloadSpec, machine: MachineConfig,
     """§III-A microbenchmark protocol: run ``runs`` windows, drop the
     first (cold) one.  All windows execute in one warm process, exactly
     like BenchmarkDotNet iterations."""
-    vm = VirtualMemory()
-    core = Core(machine, vm)
-    core.set_hints(spec.hints())
-    tracer = LttngTracer(machine.max_freq_hz)
-    core.event_hook = tracer.hook
-    program = build_program(spec, seed=seed,
-                            code_bloat=machine.code_bloat)
-    program.premap(vm)
-    ops = program.ops()
-    windows = tuple(_window(core, tracer, ops, window_instructions, i)
+    core, tracer, stream = _process(spec, machine, seed)
+    windows = tuple(_window(core, tracer, stream, window_instructions, i)
                     for i in range(runs))
     return VarianceReport(windows=windows, discarded_first=True)
 
@@ -119,17 +129,10 @@ def measure_after_warmup(spec: WorkloadSpec, machine: MachineConfig,
                          seed: int = 0) -> VarianceReport:
     """Warm up for ``warmup_instructions``, then measure several windows
     (no discard — the warmup replaces it)."""
-    vm = VirtualMemory()
-    core = Core(machine, vm)
-    core.set_hints(spec.hints())
-    tracer = LttngTracer(machine.max_freq_hz)
-    core.event_hook = tracer.hook
-    program = build_program(spec, seed=seed,
-                            code_bloat=machine.code_bloat)
-    program.premap(vm)
-    ops = program.ops()
-    core.consume(ops, max_instructions=warmup_instructions)
-    measured = tuple(_window(core, tracer, ops, window_instructions, i)
+    core, tracer, stream = _process(spec, machine, seed)
+    core.consume_stream(stream, warmup_instructions,
+                        engine=resolve_engine(None))
+    measured = tuple(_window(core, tracer, stream, window_instructions, i)
                      for i in range(windows))
     return VarianceReport(windows=measured, discarded_first=False)
 

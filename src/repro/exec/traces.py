@@ -38,16 +38,12 @@ from pathlib import Path
 
 from repro import obs
 from repro.exec.jobs import canonical_encode
-from repro.perf.trace_io import record_buffers, replay_buffers
-from repro.trace import TraceBuffer
+from repro.perf.trace_io import record_program, replay_buffers
 
 TRACE_LAYOUT_VERSION = "v1"
 
 #: bump when the key schema changes (invalidates every old trace)
 TRACE_KEY_VERSION = "1"
-
-#: chunk size used when generating store entries
-_CHUNK_INSTRUCTIONS = 65536
 
 #: headroom recorded beyond the first requester's need, so machine
 #: configs with slightly larger dynamic instruction budgets still hit
@@ -234,25 +230,11 @@ class TraceStore:
                   make_program) -> tuple[dict, bool]:
         program = make_program()
         target = int(required_instructions * _SLACK)
-
-        def chunks():
-            emitted = 0
-            fill = getattr(program, "fill_buffer", None)
-            ops = None if fill is not None else program.ops()
-            while emitted < target:
-                buf = TraceBuffer()
-                if fill is not None:
-                    fill(buf, _CHUNK_INSTRUCTIONS)
-                else:
-                    buf.fill_from(ops, _CHUNK_INSTRUCTIONS)
-                emitted += buf.n_instructions
-                yield buf
-
         path = self.trace_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / f".{key}.{os.getpid()}.trace.tmp"
         try:
-            n_instr = record_buffers(chunks(), tmp)
+            n_instr = record_program(program, tmp, target)
             crc = 0
             size = 0
             with tmp.open("rb") as fh:
@@ -277,7 +259,7 @@ class TraceStore:
         return meta, True
 
     def replay(self, key: str, *, use_mmap: bool | None = None):
-        """Sealed :class:`TraceBuffer` chunks of the stored trace.
+        """:class:`~repro.trace.TraceBuffer` chunks of the stored trace.
 
         ``use_mmap`` forwards to
         :func:`~repro.perf.trace_io.replay_buffers`: default (None)

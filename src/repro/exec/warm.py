@@ -11,14 +11,14 @@ safely reusable across jobs *within one worker process*:
   *before* any op is consumed.  Rehydrating the snapshot yields state
   bit-identical to constructing from scratch (the equivalence suite
   enforces this), so reuse is purely a wall-clock optimization.
-* **sealed trace buffers** — decoded chunks of a
+* **decoded trace buffers** — chunks of a
   :class:`~repro.exec.traces.TraceStore` entry plus its sidecar
   metadata, keyed by the trace content key and checked against the
-  identity of the files they were read from.  ``consume_buffer``
-  never mutates sealed columns and single-core replay applies no
-  transform, so the same chunks can feed any number of machine
-  configs.  Only traces below an op cap are cached; longer ones keep
-  the mmap streaming path so peak RSS stays bounded.
+  identity of the files they were read from.  Neither engine mutates
+  buffer columns and single-core replay applies no transform, so the
+  same chunks can feed any number of machine configs.  Only traces
+  below an op cap are cached; longer ones keep the mmap streaming path
+  so peak RSS stays bounded.
 
 Failure hygiene: a job that *fails* may have died mid-consume with
 arbitrary shared state — the worker calls :func:`evict_all` before
@@ -76,17 +76,13 @@ def _owned_column(col):
 
 
 def _owned_copy(buf):
-    """A sealed buffer whose columns own their memory."""
+    """A buffer whose columns own their memory."""
     from repro.trace import TraceBuffer
     cols = (buf.kinds, buf.a0, buf.a1, buf.a2)
     owned = tuple(map(_owned_column, cols))
     if all(o is c for o, c in zip(owned, cols)):
         return buf
-    new = TraceBuffer.from_columns(*owned, buf.events, buf.n_instructions)
-    # seal() products are fresh numpy allocations, never file-backed.
-    new.lines = buf.lines
-    new.line_ends = buf.line_ends
-    return new
+    return TraceBuffer.from_columns(*owned, buf.events, buf.n_instructions)
 
 
 def _cache_ops_cap() -> int:
@@ -153,7 +149,7 @@ class WarmCache:
             self.evictions += 1
             obs.add("warm.evictions")
 
-    # -- decoded sealed trace chunks ------------------------------------
+    # -- decoded trace chunks -------------------------------------------
 
     def buffers(self, trace_key: str, identity=None):
         """``(chunks, meta)`` cached for ``trace_key``, or ``None``.
@@ -184,7 +180,7 @@ class WarmCache:
 
     def put_buffers(self, trace_key: str, bufs: list,
                     identity=None, meta=None) -> None:
-        """Cache sealed chunks, copied into process-owned memory, with
+        """Cache decoded chunks, copied into process-owned memory, with
         the entry's sidecar ``meta``; replaces an entry already there.
 
         Chunks decoded zero-copy hold views into an mmap of the trace

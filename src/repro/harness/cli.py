@@ -85,14 +85,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--machine", default="i9",
                         choices=["xeon", "i9", "arm"])
     parser.add_argument("--engine",
-                        choices=["legacy", "batched", "vector"],
+                        choices=["batched", "vector"],
                         default=os.environ.get("REPRO_ENGINE") or None,
-                        help="consume engine: tuple-at-a-time (legacy), "
-                             "SoA chunks in Python (batched), or the "
-                             "native C kernel (vector, the default, which "
-                             "falls back to batched with a warning when "
-                             "it cannot run); all are bit-identical "
-                             "(default: $REPRO_ENGINE, else vector)")
+                        help="consume engine: the Python reference "
+                             "(batched) or the native C kernel (vector, "
+                             "the default, which falls back to batched "
+                             "with a warning when it cannot run); both "
+                             "are bit-identical (default: $REPRO_ENGINE, "
+                             "else vector)")
     parser.add_argument("--instructions", type=int, default=150_000,
                         help="measured instruction budget")
     parser.add_argument("--warmup", type=int, default=60_000)
@@ -293,11 +293,10 @@ def main(argv: list[str] | None = None) -> int:
                   f"{args.bench_history}]", file=sys.stderr)
 
         if args.trace_out:
-            from repro.perf.trace_io import record
+            from repro.perf.trace_io import record_program
             from repro.workloads.program import build_program
             program = build_program(selected[0], seed=args.seed)
-            n = record(program.ops(), args.trace_out,
-                       max_instructions=args.instructions)
+            n = record_program(program, args.trace_out, args.instructions)
             print(f"\nrecorded {n} instructions to {args.trace_out}")
 
         if suite.failures:

@@ -27,7 +27,8 @@ from repro.perf.trace_io import TraceFormatError
 from repro.perf.tracer import LttngTracer
 from repro.runtime.gc import GcConfig
 from repro.runtime.heap import HeapConfig
-from repro.trace import TraceBufferStream
+from repro.trace import (REGION_HEAP_BASE, REGION_STACK_BASE,
+                         TraceBufferStream)
 from repro.uarch.machine import MachineConfig
 from repro.uarch.multicore import MulticoreRunner, MulticoreResult
 from repro.uarch.pipeline import Core
@@ -36,14 +37,14 @@ from repro.workloads.program import build_program
 from repro.workloads.spec import SuiteName, WorkloadSpec
 
 
-ENGINES = ("legacy", "batched", "vector")
+ENGINES = ("batched", "vector")
 
 
 def resolve_engine(engine: str | None) -> str:
     """Resolve the consume-engine choice to one of :data:`ENGINES`.
 
     Priority: explicit ``engine`` argument > ``REPRO_ENGINE`` env var >
-    ``REPRO_LEGACY_CONSUME=1`` (the historical toggle) > ``"vector"``.
+    ``"vector"``.
     ``"vector"``, the default, selects the native C kernel
     (:mod:`repro.uarch.native`), compiled with the system compiler on
     first use and cached.  When the kernel is unavailable (no compiler,
@@ -51,17 +52,14 @@ def resolve_engine(engine: str | None) -> str:
     not model, the run falls back to the batched Python engine — loudly:
     one :class:`~repro.uarch.native.NativeFallbackWarning` per process
     per reason, a ``native.delegated{reason=...}`` counter, and
-    ``RunResult.engine`` names the engine that actually ran.  On hosts
-    with no compiler, ``REPRO_ENGINE=batched`` selects the Python
-    engine outright.  Resolution never fails on availability at this
-    layer.  All engines are bit-identical (enforced by
+    ``RunResult.engine`` names the engine that actually ran.
+    ``REPRO_ENGINE=batched`` selects the Python engine outright.
+    Resolution never fails on availability at this layer.  Both engines
+    are bit-identical (enforced by
     tests/integration/test_batched_equivalence.py).
     """
     if engine is None:
         engine = os.environ.get("REPRO_ENGINE") or None
-    if engine is None and os.environ.get("REPRO_LEGACY_CONSUME",
-                                         "0") not in ("", "0"):
-        engine = "legacy"
     engine = engine or "vector"
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
@@ -105,9 +103,9 @@ class RunResult:
     topdown: TopDownProfile
     seconds: float
     samples: SampleSeries | None = None
-    #: engine the measure phase actually ran ("legacy", "batched" or
-    #: "vector"); not compared, so results from different engines that
-    #: agree bit-for-bit stay equal
+    #: engine the measure phase actually ran ("batched" or "vector");
+    #: not compared, so results from different engines that agree
+    #: bit-for-bit stay equal
     engine: str | None = field(default=None, compare=False)
 
     @property
@@ -158,9 +156,8 @@ def run_workload(spec: WorkloadSpec, machine: MachineConfig,
     identity changed (rewritten, truncated, bit-flipped in place) misses
     the cache and is verified again.  ``engine`` selects the consume path
     (see :func:`resolve_engine`; default ``"vector"``, the native C
-    kernel, falling back to batched; legacy when
-    ``REPRO_LEGACY_CONSUME=1``).  ``RunResult.engine`` records the engine
-    that actually ran.
+    kernel, falling back to batched).  ``RunResult.engine`` records the
+    engine that actually ran.
     """
     fidelity = fidelity or Fidelity.default()
     heap_config, gc_config = _heap_and_gc(spec, heap_config, gc_config)
@@ -178,9 +175,8 @@ def run_workload(spec: WorkloadSpec, machine: MachineConfig,
             compaction_enabled=compaction_enabled)
 
     engine = resolve_engine(engine)
-    legacy = engine == "legacy"
     trace_key = None
-    if trace_store is not None and not legacy:
+    if trace_store is not None:
         trace_key = trace_store.key_for(
             spec, seed=seed, code_bloat=machine.code_bloat,
             gc_config=gc_config, heap_config=heap_config,
@@ -212,56 +208,46 @@ def run_workload(spec: WorkloadSpec, machine: MachineConfig,
         core.set_hints(spec.hints())
         tracer = LttngTracer(machine.max_freq_hz)
         core.event_hook = tracer.hook
-        if legacy:
+        if trace_key is not None:
+            required = warmup + measure
+            # Taken before ensure() verifies the files: if they change
+            # in between, the recorded identity is stale and the next
+            # lookup verifies again.
+            identity = (trace_identity()
+                        if warm_cache is not None else None)
+            cached = (warm_cache.buffers(trace_key, identity)
+                      if warm_cache is not None else None)
+            if (cached is not None
+                    and cached[1]["n_instructions"] >= required):
+                bufs, meta = cached
+            else:
+                with obs.span("run.trace_ensure", workload=spec.name):
+                    meta, generated = trace_store.ensure(
+                        trace_key, required, make_program)
+                bufs = None
+                if (warm_cache is not None
+                        and meta.get("n_instructions", 0)
+                        <= warm_cache.max_buffer_ops):
+                    if generated:
+                        identity = trace_identity()
+                    bufs = list(trace_store.replay(trace_key))
+                    warm_cache.put_buffers(trace_key, bufs, identity,
+                                           meta)
+            for start, length in meta["premap_ranges"]:
+                vm.premap_range(start, length)
+            if bufs is not None:
+                source = TraceBufferStream(buffers=iter(bufs))
+            else:
+                source = TraceBufferStream(
+                    buffers=trace_store.replay(trace_key))
+        else:
             with obs.span("run.build_program", workload=spec.name):
                 program = make_program()
             program.premap(vm)
-            source = program.ops()
-            consume = core.consume
-        else:
-            def consume(source, max_instructions=None, _core=core):
-                return _core.consume_stream(source, max_instructions,
-                                            engine=engine)
-            if trace_key is not None:
-                required = warmup + measure
-                # Taken before ensure() verifies the files: if they change
-                # in between, the recorded identity is stale and the next
-                # lookup verifies again.
-                identity = (trace_identity()
-                            if warm_cache is not None else None)
-                cached = (warm_cache.buffers(trace_key, identity)
-                          if warm_cache is not None else None)
-                if (cached is not None
-                        and cached[1]["n_instructions"] >= required):
-                    bufs, meta = cached
-                else:
-                    with obs.span("run.trace_ensure", workload=spec.name):
-                        meta, generated = trace_store.ensure(
-                            trace_key, required, make_program)
-                    bufs = None
-                    if (warm_cache is not None
-                            and meta.get("n_instructions", 0)
-                            <= warm_cache.max_buffer_ops):
-                        if generated:
-                            identity = trace_identity()
-                        bufs = list(trace_store.replay(trace_key))
-                        warm_cache.put_buffers(trace_key, bufs, identity,
-                                               meta)
-                for start, length in meta["premap_ranges"]:
-                    vm.premap_range(start, length)
-                if bufs is not None:
-                    source = TraceBufferStream(buffers=iter(bufs))
-                else:
-                    source = TraceBufferStream(
-                        buffers=trace_store.replay(trace_key))
-            else:
-                with obs.span("run.build_program", workload=spec.name):
-                    program = make_program()
-                program.premap(vm)
-                source = TraceBufferStream(filler=program.fill_buffer)
+            source = TraceBufferStream(filler=program.fill_buffer)
         with obs.span("run.warmup", workload=spec.name,
                       instructions=warmup):
-            consume(source, max_instructions=warmup)
+            core.consume_stream(source, warmup, engine=engine)
         core.reset_stats()
         tracer.clear()
         sampler = None
@@ -270,7 +256,7 @@ def run_workload(spec: WorkloadSpec, machine: MachineConfig,
                                      interval_seconds=sample_interval)
         with obs.span("run.measure", workload=spec.name,
                       instructions=measure):
-            consume(source, max_instructions=measure)
+            core.consume_stream(source, measure, engine=engine)
         samples = sampler.finish() if sampler is not None else None
         counters = collect_counters(core, tracer.counts,
                                     cpu_utilization=spec.cpu_utilization)
@@ -302,41 +288,11 @@ def run_with_sampling(spec: WorkloadSpec, machine: MachineConfig,
     return run_workload(spec, machine, fidelity, sampling=True, **kwargs)
 
 
-#: Address ranges that are private per thread/worker in a threaded server
-#: (nursery + stacks + request buffers + per-connection kernel buffers);
-#: code and long-lived shared state keep common addresses across cores.
-from repro.trace import (OP_LOAD as _OPL, OP_STORE as _OPS,
-                         REGION_HEAP_BASE as _HEAP,
-                         REGION_STACK_BASE as _STACK)
-
-#: Heap (worker allocation contexts) and stacks are thread-private;
-#: code, long-lived shared state and kernel slab buffers are shared.
-_PRIVATE_SPANS = ((_HEAP, _HEAP + (1 << 34)),
-                  (_STACK, _STACK + (1 << 28)))
-
-
-def _color_ops(ops, core_id: int):
-    """Offset per-thread-private data addresses by a per-core color.
-
-    Threads of one server process share code (same PCs) and the long-
-    lived heap structure, but each worker has its own allocation context,
-    stack and connection buffers.  Coloring those ranges keeps the shared
-    LLC seeing distinct lines per core, as real servers do.
-    """
-    if core_id == 0:
-        yield from ops
-        return
-    color = core_id << 40
-    spans = _PRIVATE_SPANS
-    for op in ops:
-        kind = op[0]
-        if kind == _OPL or kind == _OPS:
-            addr = op[1]
-            for lo, hi in spans:
-                if lo <= addr < hi:
-                    op = (kind, addr + color)
-                    break
-        yield op
+#: Address ranges that are private per thread/worker in a threaded server:
+#: heap (worker allocation contexts) and stacks; code, long-lived shared
+#: state and kernel slab buffers keep common addresses across cores.
+_PRIVATE_SPANS = ((REGION_HEAP_BASE, REGION_HEAP_BASE + (1 << 34)),
+                  (REGION_STACK_BASE, REGION_STACK_BASE + (1 << 28)))
 
 
 def run_multicore(spec: WorkloadSpec, machine: MachineConfig,
@@ -350,13 +306,14 @@ def run_multicore(spec: WorkloadSpec, machine: MachineConfig,
 
     Cores model worker threads of one server process: identical code
     (same seed -> same method layout, so code lines are shared in the
-    LLC) with per-core private data (see :func:`_color_ops`).  Warm up
-    all cores, reset, then measure — returns the multicore result plus
-    the Top-Down profile and counters of core 0 (cores are symmetric).
+    LLC) with per-core private data.  Warm up all cores, reset, then
+    measure — returns the multicore result plus the Top-Down profile
+    and counters of core 0 (cores are symmetric).
 
-    On the batched engine, per-core address coloring is one vectorized
-    mask per chunk (:meth:`repro.trace.TraceBuffer.color_private`)
-    instead of one tuple rebuild per memory op.  ``engine="vector"``
+    Each core's thread-private data (heap allocation context, stack) is
+    offset by a per-core color, one vectorized mask per chunk
+    (:meth:`repro.trace.TraceBuffer.color_private`), so the shared LLC
+    sees distinct lines per core, as real servers do.  ``engine="vector"``
     runs the whole interleaved round loop on the native kernel: per-core
     images stay resident across quanta, the shared LLC (slice-hashed
     epoch counters, contention-folded latency) is modeled in C, and
@@ -374,7 +331,6 @@ def run_multicore(spec: WorkloadSpec, machine: MachineConfig,
     heap_config, gc_config = _heap_and_gc(spec, None, None)
     programs = {}
     engine = resolve_engine(engine)
-    legacy = engine == "legacy"
     warmup = int(fidelity.warmup_instructions
                  * fidelity.aspnet_warmup_factor)
     measure = fidelity.measure_instructions
@@ -398,10 +354,6 @@ def run_multicore(spec: WorkloadSpec, machine: MachineConfig,
     premap_ranges = {}
 
     def factory(core_id: int):
-        if legacy:
-            program = make_program(core_id)
-            programs[core_id] = program
-            return _color_ops(program.ops(), core_id), spec.hints()
         if trace_store is not None:
             from repro.exec.traces import trace_fingerprint
             key = trace_store.key_for(

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from repro.codegen import CodeRegion, MetaRingAddress, MixProfile
 from repro.seeding import stable_seed
-from repro.trace import (REGION_KERNEL_CODE_BASE, REGION_KERNEL_DATA_BASE,
-                         pulled)
+from repro.trace import REGION_KERNEL_CODE_BASE, REGION_KERNEL_DATA_BASE
 
 
 class SyscallKind:
@@ -127,12 +126,6 @@ class SyscallModel:
         return self._regions[kind]
 
     # ------------------------------------------------------------------
-    def emit(self, kind: str, rng: random.Random, payload_bytes: int = 0,
-             user_buffer: int = 0):
-        """Yield the op stream for one syscall invocation (pull form of
-        :meth:`emit_into`)."""
-        return pulled(self.emit_into, kind, rng, payload_bytes, user_buffer)
-
     def emit_into(self, buf, kind: str, rng: random.Random,
                   payload_bytes: int = 0, user_buffer: int = 0) -> None:
         """Push the op stream for one syscall invocation.

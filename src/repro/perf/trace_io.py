@@ -77,7 +77,7 @@ _EVENT = struct.Struct("<B")
 _KIND_TO_IDX = {k: i for i, k in enumerate(RUNTIME_EVENT_KINDS)}
 _OTHER_KIND = 0xFF
 
-#: ops per chunk when recording from a plain op iterator
+#: instructions per recorded chunk (also the trace store's chunking)
 _RECORD_CHUNK_INSTRUCTIONS = 65536
 
 
@@ -168,6 +168,25 @@ def record(ops, path, max_instructions: int | None = None) -> int:
     return record_buffers(chunks(), path)
 
 
+def record_program(program, path, n_instructions: int) -> int:
+    """Record at least ``n_instructions`` of a workload program's ops.
+
+    Chunks of ``_RECORD_CHUNK_INSTRUCTIONS`` come from
+    ``program.fill_buffer``, so the trace ends at the first chunk
+    boundary at or past ``n_instructions``.  Returns the instruction
+    count recorded.
+    """
+    def chunks():
+        emitted = 0
+        while emitted < n_instructions:
+            buf = TraceBuffer()
+            program.fill_buffer(buf, _RECORD_CHUNK_INSTRUCTIONS)
+            emitted += buf.n_instructions
+            yield buf
+
+    return record_buffers(chunks(), path)
+
+
 # ----------------------------------------------------------------------
 # reading
 # ----------------------------------------------------------------------
@@ -198,7 +217,7 @@ def _use_mmap_default() -> bool:
 
 
 def _decode_chunks_v2(data, mm=None):
-    """Yield sealed buffers with zero-copy columns over ``data``.
+    """Yield buffers with zero-copy columns over ``data``.
 
     ``data`` is anything exposing the buffer protocol (bytes or an
     ``mmap.mmap``).  When ``mm`` is the backing mmap, pages of fully
@@ -241,7 +260,7 @@ def _decode_chunks_v2(data, mm=None):
             raise TraceFormatError(
                 f"corrupt event table: {exc}") from exc
         pos += ev_len
-        buf = TraceBuffer.from_columns(kinds, *cols, events, n_instr).seal()
+        buf = TraceBuffer.from_columns(kinds, *cols, events, n_instr)
         if _t0 is not None:
             obs.observe("sim.trace_decode_seconds",
                         time.perf_counter() - _t0)
@@ -260,7 +279,7 @@ def _decode_chunks_v2(data, mm=None):
 
 
 def replay_buffers(path, *, use_mmap: bool | None = None):
-    """Yield sealed :class:`TraceBuffer` chunks from a recorded trace.
+    """Yield :class:`TraceBuffer` chunks from a recorded trace.
 
     The fast replay path: feeds
     :meth:`repro.uarch.pipeline.Core.consume_stream` directly via
@@ -295,7 +314,7 @@ def replay_buffers(path, *, use_mmap: bool | None = None):
             buf = TraceBuffer()
             done = buf.fill_from(ops, _RECORD_CHUNK_INSTRUCTIONS)
             if buf.kinds:
-                yield buf.seal()
+                yield buf
             if done:
                 return
     elif use_mmap:

@@ -21,7 +21,7 @@ from repro.seeding import stable_seed
 from repro.runtime.heap import HeapConfig, LongLivedSet, ManagedHeap
 from repro.runtime.jit import JitCompiler, Method
 from repro.trace import (EV_GC_ALLOCATION_TICK, EV_EXCEPTION, EV_CONTENTION,
-                         REGION_CLR_CODE_BASE, REGION_STACK_BASE, pulled)
+                         REGION_CLR_CODE_BASE, REGION_STACK_BASE)
 
 #: The CLR's own precompiled code: large and branchy.  These footprints are
 #: what gives .NET its "large CLR code footprint" frontend profile (§V-E).
@@ -133,8 +133,8 @@ class Clr:
         self.gc.check_heap_fits(long_lived_count * long_lived_slot
                                 + cold_live_bytes)
         self._stack_ptr = REGION_STACK_BASE
-        #: (addr, size) of the most recent alloc_large (generators cannot
-        #: return values to ``yield from`` callers without ceremony)
+        #: (addr, size) of the most recent alloc_large_into (push
+        #: emitters return nothing)
         self._last_loh: tuple[int, int] = (0, 0)
 
     # -- method management ----------------------------------------------
@@ -148,11 +148,6 @@ class Clr:
     def methods(self) -> dict[int, Method]:
         return self._methods
 
-    def ensure_jitted(self, method: Method):
-        """Yield JIT ops if the method needs (re)compilation (pull form
-        of :meth:`ensure_jitted_into`)."""
-        return pulled(self.ensure_jitted_into, method)
-
     def ensure_jitted_into(self, buf, method: Method) -> None:
         """Push JIT ops if the method needs (re)compilation."""
         if method.region is None:
@@ -162,10 +157,6 @@ class Clr:
                 self.jit.compile_into(buf, method, tier=0)
         elif self.jit.needs_tiering(method):
             self.jit.compile_into(buf, method, tier=1)
-
-    def enter_method(self, method: Method):
-        """Call prologue (pull form of :meth:`enter_method_into`)."""
-        return pulled(self.enter_method_into, method)
 
     def enter_method_into(self, buf, method: Method) -> None:
         """Call prologue: JIT if needed, account the call, apply churn."""
@@ -198,11 +189,6 @@ class Clr:
         ls.scatter(indices, new_addrs)
 
     # -- allocation -------------------------------------------------------
-    def allocate_batch(self, n: int, mean_size: int | None = None):
-        """Allocate ``n`` short-lived objects (pull form of
-        :meth:`allocate_batch_into`)."""
-        return pulled(self.allocate_batch_into, n, mean_size)
-
     def allocate_batch_into(self, buf, n: int,
                             mean_size: int | None = None) -> None:
         """Allocate ``n`` short-lived objects; pushes allocator + init ops.
@@ -230,11 +216,6 @@ class Clr:
         if heap.needs_collection:
             self.maybe_collect_into(buf)
 
-    def alloc_large(self, size: int, zero: bool = True):
-        """Allocate on the Large Object Heap (pull form of
-        :meth:`alloc_large_into`)."""
-        return pulled(self.alloc_large_into, size, zero)
-
     def alloc_large_into(self, buf, size: int, zero: bool = True) -> None:
         """Allocate on the Large Object Heap (big arrays/buffers).
 
@@ -257,10 +238,6 @@ class Clr:
         """Release a large object's segment for reuse."""
         self.heap.loh_free(addr, size)
 
-    def maybe_collect(self):
-        """Pull form of :meth:`maybe_collect_into`."""
-        return pulled(self.maybe_collect_into)
-
     def maybe_collect_into(self, buf) -> None:
         """Run a collection if the heap has requested one."""
         if self.heap.needs_collection:
@@ -268,10 +245,6 @@ class Clr:
                                  compact=self.compaction_enabled)
 
     # -- exceptional control flow ------------------------------------------
-    def throw_exception(self):
-        """Pull form of :meth:`throw_exception_into`."""
-        return pulled(self.throw_exception_into)
-
     def throw_exception_into(self, buf) -> None:
         """First-chance exception: unwinder walk through CLR code."""
         self.stats.exceptions_thrown += 1
@@ -279,10 +252,6 @@ class Clr:
         rng = self.rng
         self.image.regions["exception"].walk_into(
             buf, rng, 2200, model=StackAddress(rng, self._stack_ptr))
-
-    def contend_lock(self):
-        """Pull form of :meth:`contend_lock_into`."""
-        return pulled(self.contend_lock_into)
 
     def contend_lock_into(self, buf) -> None:
         """Contended monitor enter: spin, then futex into the kernel."""

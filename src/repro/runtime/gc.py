@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.codegen import CodeRegion
 from repro.runtime.heap import ManagedHeap, LongLivedSet
-from repro.trace import EV_GC_TRIGGERED, EV_GC_COMPLETED, pulled
+from repro.trace import EV_GC_TRIGGERED, EV_GC_COMPLETED
 
 WORKSTATION = "workstation"
 SERVER = "server"
@@ -96,8 +96,8 @@ class OutOfManagedMemory(RuntimeError):
 class GarbageCollector:
     """Mark-compact collector emitting its own instruction stream.
 
-    ``collect_into`` pushes the collection's trace ops (``collect`` yields
-    them as tuples): the mark phase loads a sample
+    ``collect_into`` pushes the collection's trace ops: the mark phase
+    loads a sample
     of live-object headers, the compact phase moves surviving bytes, and
     bulk instruction counts are accounted with coarse blocks at the GC's
     code addresses so that I-side structures see GC code.
@@ -130,15 +130,6 @@ class GarbageCollector:
                 f"{self.config.min_heap_required(long_lived_bytes)} bytes "
                 f"for a {long_lived_bytes}-byte live set but max heap is "
                 f"{self.config.max_heap_bytes}")
-
-    def collect(self, heap: ManagedHeap, live_set: LongLivedSet,
-                compact: bool = True):
-        """Run one collection; yields trace ops and compacts ``live_set``.
-
-        The pull form of :meth:`collect_into` (see
-        :func:`repro.trace.pulled`).
-        """
-        return pulled(self.collect_into, heap, live_set, compact)
 
     def collect_into(self, buf, heap: ManagedHeap, live_set: LongLivedSet,
                      compact: bool = True) -> None:

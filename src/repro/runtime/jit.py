@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.codegen import CodeRegion, JitMetaAddress, MixProfile
 from repro.trace import (EV_JIT_STARTED, EV_JIT_CODE_EMITTED,
-                         EV_JIT_CODE_MOVED, REGION_JIT_CODE_BASE, pulled)
+                         EV_JIT_CODE_MOVED, REGION_JIT_CODE_BASE)
 
 
 @dataclass
@@ -99,14 +99,6 @@ class JitCompiler:
         # Methods are packed, but emission rounds to 64B (jump padding).
         self._code_ptr += (size + 63) & ~63
         return addr
-
-    def compile(self, method: Method, tier: int = 0):
-        """Yield the op stream of compiling ``method``; emits its code.
-
-        The pull form of :meth:`compile_into` (see
-        :func:`repro.trace.pulled`).
-        """
-        return pulled(self.compile_into, method, tier)
 
     def compile_into(self, buf, method: Method, tier: int = 0) -> None:
         """Push the op stream of compiling ``method``; emits its code."""

@@ -1,13 +1,16 @@
 """The trace protocol shared by workload generators and the pipeline model.
 
 Workload programs (:mod:`repro.workloads`), the managed runtime
-(:mod:`repro.runtime`) and the OS model (:mod:`repro.kernel`) all *emit*
-operation tuples; the core pipeline model (:mod:`repro.uarch.pipeline`)
-*consumes* them.  Plain tuples with an integer opcode keep the hot loop
-fast — a run simulates 10^5-10^6 of these.
+(:mod:`repro.runtime`) and the OS model (:mod:`repro.kernel`) all *push*
+operations into a :class:`TraceBuffer`; the core pipeline model
+(:mod:`repro.uarch.pipeline`) *consumes* those buffers.
 
-Operation tuples
-----------------
+Operations
+----------
+
+Each operation is written here as the tuple form
+:meth:`TraceBuffer.iter_ops` yields and :meth:`TraceBuffer.fill_from`
+accepts (test builders, :func:`repro.perf.trace_io.record`):
 
 ``(OP_BLOCK, pc, n_instr, n_bytes, is_kernel)``
     Straight-line execution of a basic block: ``n_instr`` non-memory,
@@ -26,18 +29,16 @@ Operation tuples
     A runtime event marker (not an instruction): forwarded to the tracer /
     sampler.  ``kind`` is one of the ``EV_*`` constants.
 
-Batched form
-------------
+Buffers
+-------
 
-:class:`TraceBuffer` holds the same operations in structure-of-arrays
-form — four parallel int64 array columns (opcode, arg0..arg2) plus an
-event side-table — so the native kernel reads the columns as they are
-and the batched consume loop
-(:meth:`repro.uarch.pipeline.Core.consume_buffer`) can pre-decode
-addresses vectorized and index columns instead of unpacking one tuple
-per op.  :class:`TraceBufferStream` chunks an op source into
-sealed buffers; :meth:`TraceBuffer.iter_ops` converts back to tuples, so
-either representation can feed either consume path.
+:class:`TraceBuffer` holds operations in structure-of-arrays form —
+four parallel int64 array columns (opcode, arg0..arg2) plus an event
+side-table — so the native kernel reads the columns as they are and the
+Python engine (:meth:`repro.uarch.pipeline.Core.consume_buffer`) indexes
+columns instead of unpacking one tuple per op.
+:class:`TraceBufferStream` chunks a push filler, a tuple iterable or a
+sequence of prebuilt buffers into the buffers both engines consume.
 
 Address-space layout
 --------------------
@@ -50,12 +51,9 @@ uniqueness.
 
 from __future__ import annotations
 
-import time
 from array import array
 
 import numpy as np
-
-from repro import obs
 
 # --- operation opcodes -------------------------------------------------
 OP_BLOCK = 0
@@ -108,11 +106,11 @@ REGION_KERNEL_DATA_BASE = 0xFFFF_C000_0000
 PAGE_SIZE = 4096
 
 
-# --- batched structure-of-arrays buffers --------------------------------
+# --- structure-of-arrays buffers ---------------------------------------
 
 #: OP_BLOCK packs ``n_bytes | (kernel << BLOCK_KERNEL_SHIFT)`` into column
 #: a2.  Bit 32 leaves the full u32 range for block byte counts while
-#: keeping every column value inside int64 for the vectorized decode.
+#: keeping every column value inside int64.
 BLOCK_KERNEL_SHIFT = 32
 _KERNEL_BIT = 1 << BLOCK_KERNEL_SHIFT
 BLOCK_NBYTES_MASK = _KERNEL_BIT - 1
@@ -137,13 +135,11 @@ class TraceBuffer:
 
     Event ``(kind, payload)`` pairs live in the ``events`` side-table,
     indexed by a0 — payloads are arbitrary Python objects and must not
-    constrain the hot columns.  :meth:`seal` pre-decodes the address
-    columns vectorized (cache line, line of the last block byte) so the
-    consume loop never shifts per op.
+    constrain the hot columns.
     """
 
     __slots__ = ("kinds", "a0", "a1", "a2", "events", "n_instructions",
-                 "lines", "line_ends", "_vcols")
+                 "_vcols")
 
     def __init__(self) -> None:
         self.kinds = array("q")
@@ -152,11 +148,8 @@ class TraceBuffer:
         self.a2 = array("q")
         self.events: list[tuple] = []
         self.n_instructions = 0
-        self.lines: list[int] | None = None
-        self.line_ends: list[int] | None = None
-        # Per-buffer cache of the vector engine's derived columns
-        # (numpy views, prev-occurrence indexes, per-window segments);
-        # owned by repro.uarch.vector, invalidated with the columns.
+        # Per-buffer cache of the native kernel's int64 column arrays;
+        # owned by repro.uarch.native, invalidated with the columns.
         self._vcols = None
 
     def __len__(self) -> int:
@@ -255,7 +248,7 @@ class TraceBuffer:
         return True
 
     def iter_ops(self):
-        """Yield the buffered ops back as plain tuples (legacy consume)."""
+        """Yield the buffered ops back as plain tuples."""
         kinds = self.kinds
         a0 = self.a0
         a1 = self.a1
@@ -279,8 +272,9 @@ class TraceBuffer:
     def color_private(self, spans, color: int) -> None:
         """Offset load/store addresses inside ``spans`` by ``color``.
 
-        The buffer-level form of :func:`repro.harness.runner._color_ops`:
-        one vectorized mask instead of one tuple rebuild per memory op.
+        Per-core coloring of thread-private data in multicore runs
+        (:func:`repro.harness.runner.run_multicore`): one vectorized
+        mask over the address column.
         """
         if not color or not len(self.kinds):
             return
@@ -296,35 +290,7 @@ class TraceBuffer:
             col = array("q")
             col.frombytes(a0.view(np.uint8))
             self.a0 = col
-            self.lines = None
-            self.line_ends = None
             self._vcols = None
-
-    def seal(self) -> "TraceBuffer":
-        """Pre-decode address columns; idempotent, returns ``self``."""
-        if self.lines is not None:
-            return self
-        _t0 = time.perf_counter() if obs.enabled() else None
-        a0 = np.asarray(self.a0, dtype=np.int64)
-        sizes = np.asarray(self.a2, dtype=np.int64) & BLOCK_NBYTES_MASK
-        # 64 B cache lines, matching the hardcoded shifts of the
-        # pipeline's fetch/micro-TLB paths (pages derive from lines).
-        lines = a0 >> 6
-        line_ends = (a0 + sizes - 1) >> 6
-        if isinstance(self.a0, list):
-            self.lines = lines.tolist()
-            self.line_ends = line_ends.tolist()
-        else:
-            # Array/memoryview columns: expose the derived columns as
-            # memoryviews too — indexing a memoryview yields native
-            # Python ints, which the consume fast path feeds into model
-            # state (repr-level bit-identity with the list-backed decode
-            # requires exact int types).
-            self.lines = memoryview(lines)
-            self.line_ends = memoryview(line_ends)
-        if _t0 is not None:
-            obs.observe("sim.seal_seconds", time.perf_counter() - _t0)
-        return self
 
     @classmethod
     def from_columns(cls, kinds, a0, a1, a2, events,
@@ -344,25 +310,8 @@ class TraceBuffer:
         buf.a2 = a2
         buf.events = events
         buf.n_instructions = n_instructions
-        buf.lines = None
-        buf.line_ends = None
         buf._vcols = None
         return buf
-
-
-def pulled(fill, *args, **kwargs):
-    """Pull form of a push emitter: yield, as op tuples, what
-    ``fill(buf, *args, **kwargs)`` pushes into a scratch buffer.
-
-    ``fill`` runs in full on the first ``next()``.  That is equivalent to
-    a generator emitting the same ops one by one because nothing touches
-    the emitter's state (its RNG, heap, live set, recency rings) while
-    the generator is suspended: the program that owns that state is
-    suspended in the same ``yield from`` chain.
-    """
-    buf = TraceBuffer()
-    fill(buf, *args, **kwargs)
-    yield from buf.iter_ops()
 
 
 class TraceBufferStream:
@@ -382,8 +331,8 @@ class TraceBufferStream:
 
     The stream tracks a resume offset ``pos`` inside the current chunk,
     so interrupted consumption (instruction limits, multicore quanta)
-    continues mid-chunk.  ``transform`` is applied to each chunk before
-    sealing (per-core address coloring).
+    continues mid-chunk.  ``transform`` is applied to each new chunk
+    (per-core address coloring).
     """
 
     __slots__ = ("chunk_instructions", "transform", "buf", "pos",
@@ -403,7 +352,7 @@ class TraceBufferStream:
         self._exhausted = False
 
     def buffer(self) -> TraceBuffer | None:
-        """The current sealed chunk with unconsumed ops, or ``None``."""
+        """The current chunk with unconsumed ops, or ``None``."""
         buf = self.buf
         if buf is not None and self.pos < len(buf.kinds):
             return buf
@@ -425,21 +374,7 @@ class TraceBufferStream:
                         self._ops, self.chunk_instructions)
             if self.transform is not None:
                 self.transform(buf)
-            self.buf = buf.seal()
+            self.buf = buf
             self.pos = 0
             if buf.kinds:
                 return buf
-
-    def iter_ops(self):
-        """Remaining ops as tuples (feeds the legacy consume path)."""
-        while True:
-            buf = self.buffer()
-            if buf is None:
-                return
-            pos = self.pos
-            self.pos = len(buf.kinds)
-            ops = buf.iter_ops()
-            if pos:
-                for _ in range(pos):
-                    next(ops)
-            yield from ops

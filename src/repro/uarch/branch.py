@@ -208,105 +208,6 @@ class BranchUnit:
     def reset_stats(self) -> None:
         self.stats = BranchStats()
 
-    # -- vectorized batch resolve (engine="vector") --------------------
-    def resolve_batch(self, pcs, targets, takens) -> tuple[int, int, int]:
-        """Resolve a whole run of branches; returns (taken, mis, btbm).
-
-        Branch state (gshare table/history, loop predictor, BTB) is
-        disjoint from every cache/TLB structure, so the vector engine
-        resolves a segment's branches in one pre-pass.  Per-branch
-        semantics replicate :meth:`resolve` exactly (same table updates
-        in the same order); stats are bulk-updated here and the caller
-        charges the three branch stall buckets from the returned counts.
-        ``takens`` entries are 0/1 ints straight from the trace column.
-        """
-        lp_table = self.loop_predictor._table
-        lp_max = self.loop_predictor.max_entries
-        gs = self.predictor
-        gs_table = gs._table
-        gs_mask = gs._mask
-        gs_hist_bits = gs.history_bits
-        gs_hist_mask = (1 << gs_hist_bits) - 1 if gs_hist_bits else 0
-        gs_history = gs._history
-        btb_sets = self.btb._sets
-        btb_mask = self.btb._index_mask
-        btb_ways = self.btb.ways
-        n_tk = 0
-        n_mis = 0
-        n_btbm = 0
-        for i in range(len(pcs)):
-            pc = pcs[i]
-            target = targets[i]
-            taken = takens[i]
-            entry = lp_table.get(pc)
-            if entry is None:
-                predicted = None
-                if taken and target <= pc:
-                    if len(lp_table) >= lp_max:
-                        lp_table.pop(next(iter(lp_table)))
-                    entry = [0, 1, 0]
-                    lp_table[pc] = entry
-            else:
-                if entry[2] < 2:
-                    predicted = None
-                else:
-                    predicted = entry[1] + 1 < entry[0]
-            if entry is not None:
-                if taken:
-                    entry[1] += 1
-                    if entry[0] and entry[1] > entry[0] + 1:
-                        entry[2] = 0
-                else:
-                    trips = entry[1] + 1
-                    if entry[0] == trips:
-                        entry[2] = min(entry[2] + 1, 3)
-                    else:
-                        entry[0] = trips
-                        entry[2] = 0
-                    entry[1] = 0
-            key = pc >> 2
-            idx = (key ^ gs_history) & gs_mask
-            ctr = gs_table.get(idx, 1)
-            if predicted is None:
-                predicted = ctr >= 2
-            if taken:
-                if ctr < 3:
-                    gs_table[idx] = ctr + 1
-            elif ctr > 0:
-                gs_table[idx] = ctr - 1
-            if gs_hist_bits:
-                gs_history = ((gs_history << 1) | taken) & gs_hist_mask
-            if taken:
-                n_tk += 1
-                bb = btb_sets[key & btb_mask]
-                if bb and bb[-1][0] == key:
-                    entry = bb[-1]
-                else:
-                    entry = None
-                    for j in range(len(bb) - 2, -1, -1):
-                        if bb[j][0] == key:
-                            entry = bb.pop(j)
-                            bb.append(entry)
-                            break
-                if entry is None:
-                    n_btbm += 1
-                    if len(bb) >= btb_ways:
-                        bb.pop(0)
-                    bb.append([key, target])
-                else:
-                    if entry[1] != target:
-                        n_btbm += 1
-                        entry[1] = target
-            if predicted != taken:
-                n_mis += 1
-        gs._history = gs_history
-        st = self.stats
-        st.branches += len(pcs)
-        st.taken += n_tk
-        st.mispredicts += n_mis
-        st.btb_misses += n_btbm
-        return n_tk, n_mis, n_btbm
-
     # -- §VIII extension: software-driven state transformation ---------
     def transform_range(self, old_base: int, new_base: int,
                         size: int) -> int:

@@ -198,34 +198,6 @@ class Cache:
         """Non-destructive lookup (does not update LRU or stats)."""
         return (addr >> self._line_shift) in self._lines
 
-    # -- vectorized batch probes (engine="vector") ---------------------
-    def resident_lines(self):
-        """Sorted ``int64`` array of all resident line numbers.
-
-        A snapshot for vectorized membership probes: the vector engine
-        tests whole op columns against it with ``searchsorted`` instead
-        of one ``in`` check per op.  Non-mutating.
-        """
-        import numpy as np
-        n = len(self._lines)
-        out = np.fromiter(self._lines, dtype=np.int64, count=n)
-        out.sort()
-        return out
-
-    def batch_contains(self, lines) -> "object":
-        """Boolean hit mask for an ``int64`` array of line numbers.
-
-        Pure membership (no stats, no LRU movement) against the current
-        residency snapshot — the vectorized twin of :meth:`contains`.
-        """
-        import numpy as np
-        resident = self.resident_lines()
-        if not len(resident):
-            return np.zeros(len(lines), dtype=bool)
-        idx = np.minimum(np.searchsorted(resident, lines),
-                         len(resident) - 1)
-        return resident[idx] == lines
-
     def invalidate_range(self, start: int, length: int) -> int:
         """Invalidate all lines overlapping ``[start, start+length)``.
 

@@ -141,10 +141,10 @@ class MulticoreRunner:
     Each core gets its own :class:`VirtualMemory` (separate process images
     would share kernel text; for simplicity each core's stream includes
     its own kernel activity) and its own stream factory — a callable
-    ``(core_id) -> (source, WorkloadHints)`` where ``source`` is either
-    an op-tuple iterable (legacy consume) or a
-    :class:`~repro.trace.TraceBufferStream` (batched consume); both keep
-    a resume position, so quantum-interleaved execution is identical.
+    ``(core_id) -> (source, WorkloadHints)`` where ``source`` is a
+    :class:`~repro.trace.TraceBufferStream` or an op-tuple iterable
+    (wrapped in one).  The stream keeps a resume position, so each
+    quantum continues where the core's previous one stopped.
     """
 
     def __init__(self, machine: MachineConfig, n_cores: int,
@@ -163,10 +163,9 @@ class MulticoreRunner:
             source, hints = stream_factory(core_id)
             core.set_hints(hints)
             self.cores.append(core)
-            if isinstance(source, TraceBufferStream):
-                self._streams.append(source)
-            else:
-                self._streams.append(iter(source))
+            if not isinstance(source, TraceBufferStream):
+                source = TraceBufferStream(ops=source)
+            self._streams.append(source)
 
     def _open_session(self):
         """A native multicore session for ``engine="vector"``, or None.
@@ -177,14 +176,13 @@ class MulticoreRunner:
         LLC is aliased into every image and the Python contention model
         runs unchanged at epoch boundaries.  Call ``core.sync_native()``
         before reading a core's caches or predictors after a run.  Any
-        disqualifying configuration (kernel unavailable, legacy streams,
-        non-nativizable core) falls back to the batched per-quantum
-        path.
+        disqualifying configuration (kernel unavailable, non-nativizable
+        core) falls back to the per-quantum ``consume_stream`` path.
         """
         if self.engine != "vector":
             return None
         from repro.uarch import native
-        return native.multicore_session(self.cores, self._streams)
+        return native.multicore_session(self.cores)
 
     def run(self, instructions_per_core: int) -> MulticoreResult:
         """Run all cores to ``instructions_per_core``, interleaved."""
@@ -201,12 +199,10 @@ class MulticoreRunner:
                 stream = self._streams[i]
                 if session is not None:
                     done = session.consume(i, stream, quantum)
-                elif isinstance(stream, TraceBufferStream):
+                else:
                     done = core.consume_stream(stream,
                                                max_instructions=quantum,
                                                engine=self.engine)
-                else:
-                    done = core.consume(stream, max_instructions=quantum)
                 remaining[i] -= done if done else remaining[i]
                 if done:
                     progressed = True

@@ -43,9 +43,9 @@ than falling back:
 When the kernel is unavailable (no compiler, ``REPRO_NATIVE=0``) or the
 core uses a configuration the kernel does not model (subclassed shared
 LLC, JIT metadata reactions, non-stock geometry), callers fall back to
-the batched engine, which is itself bit-identical to legacy.  The
-fallback is loud: :func:`note_delegation` counts it and warns once per
-process per reason.
+the batched engine (``Core.consume_buffer``, the Python reference the
+kernel is pinned bit-identical to).  The fallback is loud:
+:func:`note_delegation` counts it and warns once per process per reason.
 """
 
 from __future__ import annotations
@@ -543,8 +543,8 @@ class CoreImage:
       imports the structures back and detaches.
 
     Derived stall constants are evaluated with the *same expression
-    shapes* the legacy per-op code uses, so the doubles the kernel
-    accumulates are bit-identical.
+    shapes* the Python engine's per-op methods use, so the doubles the
+    kernel accumulates are bit-identical.
 
     Cores sharing one :class:`~repro.uarch.multicore.SharedLlc` form a
     group (``SharedLlc._native_group``): the first image to attach owns
@@ -843,7 +843,8 @@ class CoreImage:
         quanta; the kernel reads ``extra_latency`` only through these
         two doubles, so refreshing them at the epoch boundary gives
         every access in the next quantum the new latency — exactly when
-        the legacy per-op ``_llc_extra()`` read would change value.
+        the Python engine's per-op ``_llc_extra()`` read would change
+        value.
         The expression shapes match ``_fetch`` and ``_op_mem``.
         """
         core, m = self.core, self.core.machine
@@ -862,7 +863,7 @@ class CoreImage:
 
     # ------------------------------------------------------------------
     def _load_params(self) -> None:
-        """Derived constants (legacy expression shapes) and policy flags
+        """Derived constants (Python-engine expression shapes) and policy flags
         from the machine, hints, hook interval and vm settings."""
         core = self.core
         m, h, pd, pi = core.machine, core.hints, self.pd, self.pi
@@ -1079,7 +1080,7 @@ class CoreImage:
 
     # ------------------------------------------------------------------
     def run_buffer(self, buf, start: int, limit) -> tuple[int, int]:
-        """Run the kernel over one sealed trace buffer from ``start``.
+        """Run the kernel over one trace buffer from ``start``.
 
         The first call after an exit is the kernel entry: it reloads the
         scalars and stats Python owns (see :meth:`_enter`).  Returns
@@ -1089,7 +1090,7 @@ class CoreImage:
         must publish state, run the Python hook against the live core,
         and re-enter from ``next_pos``).  Event-hook callbacks are
         replayed from the kernel's event log with the exact cycle stamps
-        the legacy engine would have produced.
+        the Python engine would have produced.
         """
         if not self._entered:
             self._enter()
@@ -1151,7 +1152,7 @@ def _int64_column(col):
 
 
 def _columns(buf):
-    """Contiguous int64 column arrays for a sealed trace buffer.
+    """Contiguous int64 column arrays for a trace buffer.
 
     Cached on ``buf._vcols`` keyed by op count, so replayed buffers pay
     the conversion once; ``color_private`` invalidates the cache.
@@ -1182,7 +1183,8 @@ def _drive(core, stream, limit) -> bool:
     Each HOOK exit publishes scalars and stats, runs the Python hook
     against the live ``Core`` (it may read or mutate any of them, or
     call ``core.sync_native()`` to read structures), and re-enters with
-    the same image — preserving the legacy hook-before-limit ordering.
+    the same image — preserving the Python engine's hook-before-limit
+    ordering.
     Returns ``False`` when a hook left the core in a configuration the
     kernel does not model; the caller finishes on the Python engine.
     """
@@ -1222,7 +1224,7 @@ def consume_stream_native(core, stream, max_instructions=None) -> int:
     Callers must have checked :func:`available` and :func:`nativizable`.
     Returns the number of instructions executed.  Counters, stalls and
     stats land in the Python ``Core`` on return, bit-identical to what
-    the legacy engine would have produced over the same ops; caches,
+    the Python engine would have produced over the same ops; caches,
     predictors and the other structures stay resident in the core's
     image until ``core.sync_native()``.  Armed cycle hooks run through
     the trampoline (see :func:`_drive`).
@@ -1305,18 +1307,15 @@ class NativeMulticoreSession:
         return _consume(core, stream, max_instructions)
 
 
-def multicore_session(cores, streams):
-    """A :class:`NativeMulticoreSession` when every core and stream
-    qualifies for it, else ``None`` (callers fall back per quantum)."""
-    from repro.trace import TraceBufferStream
+def multicore_session(cores):
+    """A :class:`NativeMulticoreSession` when every core qualifies for
+    it, else ``None`` (callers fall back per quantum)."""
     if not available() or not cores:
         return None
     llc = cores[0].shared_llc
     if llc is None:
         return None
     if not all(c.shared_llc is llc for c in cores):
-        return None
-    if not all(isinstance(s, TraceBufferStream) for s in streams):
         return None
     if not all(nativizable(c) for c in cores):
         return None

@@ -12,8 +12,9 @@ so Top-Down percentages sum to 100% by construction.
 
 The frontend is simulated per 64 B code line (I-TLB on page change, L1i +
 DSB per line), the backend per memory op — about one structure access per
-simulated instruction, which keeps pure-Python throughput high enough for
-10^5-10^6 instruction runs.
+simulated instruction.  :meth:`Core.consume_buffer` is the readable
+Python engine; the native kernel (:mod:`repro.uarch.native`) runs the
+same model and is pinned bit-identical to it.
 """
 
 from __future__ import annotations
@@ -21,12 +22,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro import obs
 from repro.kernel.vm import VirtualMemory
-from repro.trace import (OP_BLOCK, OP_BRANCH, OP_EVENT, OP_LOAD, OP_STORE,
-                         BLOCK_KERNEL_SHIFT, BLOCK_NBYTES_MASK,
+from repro.trace import (BLOCK_KERNEL_SHIFT, BLOCK_NBYTES_MASK,
                          EV_JIT_CODE_EMITTED, EV_JIT_CODE_MOVED)
 from repro.uarch.branch import BranchUnit
 from repro.uarch.cache import Cache, L2, L3, DRAM
@@ -197,8 +195,8 @@ class Core:
         self._next_hook_cycles = float("inf")
         self.event_hook = None           # callable(kind, payload, cycles)
         self._ideal_cycles = 0.0
-        #: engine the latest consume call actually ran ("legacy",
-        #: "batched" or "vector"); None before the first call
+        #: engine the latest consume call actually ran ("batched" or
+        #: "vector"); None before the first call
         self.last_engine = None
         #: the native image holding this core's structures between
         #: vector consume calls (see :meth:`sync_native`), or None
@@ -507,70 +505,31 @@ class Core:
             stalls[BE_DRAM] += (m.dram_latency - m.llc.latency) * hidden
 
     # ------------------------------------------------------------------
-    def consume(self, ops, max_instructions: int | None = None) -> int:
-        """Drive the core with an op iterable.
-
-        Returns the number of instructions executed.  Stops early once
-        ``max_instructions`` is reached (checked at block granularity).
-        """
-        self.sync_native()
-        self.last_engine = "legacy"
-        start = self.counts.instructions
-        limit = (start + max_instructions
-                 if max_instructions is not None else None)
-        op_block = self._op_block
-        op_branch = self._op_branch
-        op_mem = self._op_mem
-        counts = self.counts
-        for op in ops:
-            kind = op[0]
-            if kind == OP_LOAD:
-                op_mem(op[1], False)
-            elif kind == OP_STORE:
-                op_mem(op[1], True)
-            elif kind == OP_BLOCK:
-                op_block(op[1], op[2], op[3], op[4])
-                if limit is not None and counts.instructions >= limit:
-                    break
-            elif kind == OP_BRANCH:
-                op_branch(op[1], op[2], op[3])
-            elif kind == OP_EVENT:
-                ev = op[1]
-                if ev == EV_JIT_CODE_EMITTED or ev == EV_JIT_CODE_MOVED:
-                    self._on_jit_metadata(ev, op[2])
-                if self.event_hook is not None:
-                    self.event_hook(ev, op[2], self.cycles)
-            else:  # pragma: no cover - malformed trace
-                raise ValueError(f"unknown op kind {kind!r}")
-        return counts.instructions - start
-
-    # ------------------------------------------------------------------
     def consume_stream(self, stream, max_instructions: int | None = None,
                        *, engine: str = "batched") -> int:
-        """Batched counterpart of :meth:`consume`.
+        """Drive the core from a :class:`~repro.trace.TraceBufferStream`.
 
-        Drives the core from a :class:`~repro.trace.TraceBufferStream`
-        chunk by chunk; the stream keeps its resume offset, so repeated
-        calls (warmup then measure, multicore quanta) continue where the
-        previous one stopped — the same contract an op generator gives
-        the legacy path.  Produces bit-identical counters, stalls and
-        events to ``consume`` over the same op sequence.
+        Consumes chunk by chunk and returns the number of instructions
+        executed, stopping once ``max_instructions`` is reached (checked
+        after each block op).  The stream keeps its resume offset, so
+        repeated calls (warmup then measure, multicore quanta, §III-A
+        measurement windows) continue where the previous one stopped.
 
-        ``engine="vector"`` routes consumption through the native C
-        kernel (:mod:`repro.uarch.native`) when it is available and this
-        core's configuration is one the kernel models exactly — which
-        includes armed cycle hooks (the kernel exits with a ``HOOK``
-        resume code, the hook runs in Python against published counters
-        and stats, and the kernel re-enters) and the stock shared LLC
-        (slice counting in C, contention math in Python).  Structure
-        state then stays resident in the kernel across calls until
-        :meth:`sync_native`, which this method calls itself before
-        running any Python engine.  Any other case falls
-        back to the batched loop below, which handles the full model —
-        loudly: :func:`repro.uarch.native.note_delegation` counts every
-        fallback under ``native.delegated{reason=...}`` and warns once
-        per process per reason.  Both engines are bit-identical to the
-        legacy path, so the choice is purely a throughput knob;
+        ``engine="batched"`` runs :meth:`consume_buffer`, the Python
+        reference.  ``engine="vector"`` routes consumption through the
+        native C kernel (:mod:`repro.uarch.native`) when it is available
+        and this core's configuration is one the kernel models exactly —
+        which includes armed cycle hooks (the kernel exits with a
+        ``HOOK`` resume code, the hook runs in Python against published
+        counters and stats, and the kernel re-enters) and the stock
+        shared LLC (slice counting in C, contention math in Python).
+        Structure state then stays resident in the kernel across calls
+        until :meth:`sync_native`, which :meth:`consume_buffer` calls
+        itself.  Any other case falls back to the
+        Python engine loudly: :func:`repro.uarch.native.note_delegation`
+        counts every fallback under ``native.delegated{reason=...}`` and
+        warns once per process per reason.  Both engines are
+        bit-identical, so the choice is purely a throughput knob;
         :attr:`last_engine` records which one ran.
         """
         if engine == "vector":
@@ -581,7 +540,6 @@ class Core:
                 return native.consume_stream_native(self, stream,
                                                     max_instructions)
             native.note_delegation(reason)
-        self.sync_native()
         self.last_engine = "batched"
         counts = self.counts
         start = counts.instructions
@@ -602,14 +560,18 @@ class Core:
                 break
         return counts.instructions - start
 
-    def _consume_buffer_interp(self, buf, start: int,
-                               limit: int | None) -> tuple[int, bool]:
-        """Op-at-a-time buffer consumption through the full-model methods.
+    def consume_buffer(self, buf, start: int = 0,
+                       limit: int | None = None) -> tuple[int, bool]:
+        """Consume the ops of one :class:`~repro.trace.TraceBuffer`.
 
-        Used when the core's geometry does not match the assumptions the
-        inlined paths of :meth:`consume_buffer` are specialized for.
-        Semantically identical to feeding ``buf.iter_ops()`` to
-        :meth:`consume`.
+        The Python engine: one op at a time through the full-model
+        methods (``_op_block``, ``_op_branch``, ``_op_mem``), so every
+        replacement, fill and prefetch rule lives in one place.  It is
+        the oracle the native kernel is tested against and the fallback
+        wherever the kernel cannot run.  Processes ops from index
+        ``start``; returns ``(next_index, limit_hit)`` where
+        ``limit_hit`` reports that ``counts.instructions`` reached
+        ``limit`` (checked after blocks).
         """
         self.sync_native()
         kinds = buf.kinds
@@ -625,6 +587,8 @@ class Core:
         i = start
         while i < n_ops:
             kind = kinds[i]
+            # Literal opcodes (OP_LOAD, OP_STORE, OP_BLOCK, OP_BRANCH,
+            # OP_EVENT) keep the dispatch free of global lookups.
             if kind == 2:
                 op_mem(a0[i], False)
             elif kind == 3:
@@ -646,788 +610,6 @@ class Core:
             else:  # pragma: no cover - malformed trace
                 raise ValueError(f"unknown op kind {kind!r}")
             i += 1
-        return n_ops, False
-
-    def consume_buffer(self, buf, start: int = 0,
-                       limit: int | None = None) -> tuple[int, bool]:
-        """Consume ops of a sealed :class:`~repro.trace.TraceBuffer`.
-
-        Processes ops from index ``start``; returns ``(next_index,
-        limit_hit)`` where ``limit_hit`` reports that
-        ``counts.instructions`` reached ``limit`` (checked after blocks,
-        exactly like :meth:`consume`).
-
-        This is the inlined fast path of the batched engine: per-op
-        state (counters, the seven stall buckets the hit paths touch,
-        cache/TLB/branch hit statistics) lives in local mirrors, and the
-        all-hit cases of loads/stores (micro-TLB or D-TLB L1 hit + L1d
-        hit), branches (the full branch-unit resolve) and single-line
-        blocks (DSB-resident, or same-page L1i + DSB hits) commit
-        against the structures' internals directly.  Every probe is
-        non-mutating until the hit decision is made, so any miss falls
-        back to the full-model ``_op_mem``/``_op_block`` methods — all
-        replacement, fill and prefetch semantics stay in one place, and
-        the two engines produce bit-identical results.
-        """
-        self.sync_native()
-        if buf.lines is None:
-            buf.seal()
-        kinds = buf.kinds
-        a0 = buf.a0
-        a1 = buf.a1
-        a2 = buf.a2
-        lines = buf.lines
-        line_ends = buf.line_ends
-        events = buf.events
-        n_ops = len(kinds)
-
-        # The inlined paths hardcode the geometry every Table II machine
-        # shares (64 B lines, 4 KiB pages) so each address decomposition
-        # is a shift of the pre-decoded line number, and assume the
-        # stock next-line prefetchers; anything else gets the
-        # op-at-a-time interpreter, which is always semantically exact.
-        pf_ps = self.l1d_prefetcher.page_size
-        if not (self.l1d._line_shift == 6 and self.l1i._line_shift == 6
-                and self.dsb._line_shift == 6
-                and type(self.l1d_prefetcher) is NextLinePrefetcher
-                and type(self.l1i_prefetcher) is NextLinePrefetcher
-                and self.l1d_prefetcher.line_size == 64
-                and self.l1i_prefetcher.line_size == 64
-                and self.l1i_prefetcher.page_size == pf_ps
-                and pf_ps == 4096
-                and self.dtlb.l1.page_shift == 12
-                and self.itlb.l1.page_shift == 12):
-            return self._consume_buffer_interp(buf, start, limit)
-
-        m = self.machine
-        h = self.hints
-        c = self.counts
-        stalls = self.stalls
-        stalls_vals = stalls.values()
-        op_block = self._op_block
-        op_mem = self._op_mem
-        event_hook = self.event_hook
-        inf_f = float("inf")
-        next_hook = self._next_hook_cycles
-        hook_on = next_hook != inf_f
-        no_limit = limit is None
-        limit_v = inf_f if no_limit else limit
-
-        # Hoisted per-op scalars.  Each hoisted float is the value the
-        # legacy path recomputes per op from the same constants, so the
-        # accumulated doubles are bit-identical; composite expressions
-        # (uops / width, n_instr * frac * penalty) keep their original
-        # association.
-        width = m.pipeline_width
-        inv_width = 1.0 / width
-        uop_factor = h.uop_factor
-        ilp = min(h.ilp, width)
-        ports_on = ilp < width
-        ports_coeff = (1.0 / ilp - 1.0 / width) if ports_on else 0.0
-        div_frac = h.div_frac
-        div_pen = self.DIV_PENALTY
-        micro_frac = h.microcode_frac
-        ms_pen = m.ms_switch_penalty
-        l1_hit_stall = m.l1d.latency * self.L1_VISIBLE
-        mis_pen = m.mispredict_penalty
-        resteer_pen = m.btb_resteer_penalty
-        taken_bubble = self.TAKEN_BRANCH_BUBBLE
-
-        # Block-op arithmetic, vectorized over the chunk: each element
-        # reproduces the corresponding legacy per-op expression on the
-        # same operands (int64 -> float64 conversion is exact below
-        # 2**53 and elementwise IEEE-754 ops match scalar Python), so
-        # accumulating the precomputed values is bit-identical to
-        # evaluating them op by op.
-        a1_arr = np.asarray(a1, dtype=np.int64) if len(a1) else np.zeros(
-            0, dtype=np.int64)
-        kern_l = ((np.asarray(a2, dtype=np.int64) if len(a2) else a1_arr)
-                  >> BLOCK_KERNEL_SHIFT).tolist()
-        uops_arr = a1_arr * uop_factor
-        uops_l = uops_arr.tolist()
-        ideal_l = (uops_arr / width).tolist()
-        ports_l = (uops_arr * ports_coeff).tolist() if ports_on else None
-        div_l = ((a1_arr * div_frac) * div_pen).tolist() if div_frac \
-            else None
-        ms_l = ((a1_arr * micro_frac) * ms_pen).tolist() if micro_frac \
-            else None
-
-        # Structure internals for the inlined hit paths.
-        l1d = self.l1d
-        l1d_sets = l1d._sets
-        l1d_mask = l1d._index_mask
-        l1d_lru = l1d._lru
-        l1d_st = l1d.stats
-        l1d_fill = l1d.fill
-        l1d_pf = self.l1d_prefetcher
-        l1d_pf_st = l1d_pf.stats
-        l1d_fetch = l1d_pf.fetch
-        dtlb = self.dtlb.l1
-        dtlb_sets = dtlb._sets
-        dtlb_mask = dtlb._index_mask
-        dtlb_st = dtlb.stats
-        l1i = self.l1i
-        l1i_sets = l1i._sets
-        l1i_mask = l1i._index_mask
-        l1i_lru = l1i._lru
-        l1i_st = l1i.stats
-        l1i_fill = l1i.fill
-        l1i_pf = self.l1i_prefetcher
-        l1i_pf_st = l1i_pf.stats
-        l1i_fetch = l1i_pf.fetch
-        itlb = self.itlb.l1
-        itlb_sets = itlb._sets
-        itlb_mask = itlb._index_mask
-        itlb_st = itlb.stats
-        dsb = self.dsb
-        dsb_sets = dsb._sets
-        dsb_mask = dsb._index_mask
-        dsb_lru = dsb._lru
-        dsb_st = dsb.stats
-        bu = self.branch_unit
-        bst = bu.stats
-        gs = bu.predictor
-        gs_table = gs._table
-        gs_mask = gs._mask
-        gs_hist_bits = gs.history_bits
-        gs_hist_mask = (1 << gs_hist_bits) - 1 if gs_hist_bits else 0
-        lp_table = bu.loop_predictor._table
-        lp_max = bu.loop_predictor.max_entries
-        btb = bu.btb
-        btb_sets = btb._sets
-        btb_mask = btb._index_mask
-        btb_ways = btb.ways
-
-        # Deferred mirrors of every piece of state the inlined hit paths
-        # touch.  flush() publishes them before anything outside this
-        # loop can observe the core (fallback ops, hooks, events,
-        # return); reload() re-reads them afterwards.
-        ideal = self._ideal_cycles
-        n_i = c.instructions
-        n_k = c.kernel_instructions
-        n_ld = c.loads
-        n_st = c.stores
-        n_br = c.branches
-        uops_acc = c.uops
-        s_l1 = stalls[BE_L1]
-        s_ports = stalls[BE_PORTS]
-        s_div = stalls[BE_DIV]
-        s_ms = stalls[FE_MS]
-        s_bad = stalls[BAD_SPEC]
-        s_rst = stalls[FE_RESTEER]
-        s_dsb = stalls[FE_DSB_BW]
-        kernel_mode = self._kernel_mode
-        last_vpn = self._last_data_vpn
-        last_code_line = self._last_code_line
-        last_code_page = self._last_code_page
-        gs_history = gs._history
-        l1d_acc = l1d_st.accesses
-        l1d_dem = l1d_st.demand_accesses
-        l1d_useful = l1d_st.useful_prefetches
-        dtlb_acc = dtlb_st.accesses
-        itlb_acc = itlb_st.accesses
-        l1i_acc = l1i_st.accesses
-        l1i_dem = l1i_st.demand_accesses
-        l1i_useful = l1i_st.useful_prefetches
-        dsb_acc = dsb_st.accesses
-        dsb_dem = dsb_st.demand_accesses
-        dsb_useful = dsb_st.useful_prefetches
-        bst_br = bst.branches
-        bst_tk = bst.taken
-        bst_mis = bst.mispredicts
-        bst_btbm = bst.btb_misses
-        pf_last_d = l1d_pf._last_line
-        pf_last_i = l1i_pf._last_line
-
-        def flush():
-            self._ideal_cycles = ideal
-            c.instructions = n_i
-            c.kernel_instructions = n_k
-            c.loads = n_ld
-            c.stores = n_st
-            c.branches = n_br
-            c.uops = uops_acc
-            stalls[BE_L1] = s_l1
-            stalls[BE_PORTS] = s_ports
-            stalls[BE_DIV] = s_div
-            stalls[FE_MS] = s_ms
-            stalls[BAD_SPEC] = s_bad
-            stalls[FE_RESTEER] = s_rst
-            stalls[FE_DSB_BW] = s_dsb
-            self._kernel_mode = kernel_mode
-            self._last_data_vpn = last_vpn
-            self._last_code_line = last_code_line
-            self._last_code_page = last_code_page
-            gs._history = gs_history
-            l1d_st.accesses = l1d_acc
-            l1d_st.demand_accesses = l1d_dem
-            l1d_st.useful_prefetches = l1d_useful
-            dtlb_st.accesses = dtlb_acc
-            itlb_st.accesses = itlb_acc
-            l1i_st.accesses = l1i_acc
-            l1i_st.demand_accesses = l1i_dem
-            l1i_st.useful_prefetches = l1i_useful
-            dsb_st.accesses = dsb_acc
-            dsb_st.demand_accesses = dsb_dem
-            dsb_st.useful_prefetches = dsb_useful
-            bst.branches = bst_br
-            bst.taken = bst_tk
-            bst.mispredicts = bst_mis
-            bst.btb_misses = bst_btbm
-            l1d_pf._last_line = pf_last_d
-            l1i_pf._last_line = pf_last_i
-
-        def reload():
-            nonlocal ideal, n_i, n_k, n_ld, n_st, n_br, uops_acc
-            nonlocal s_l1, s_ports, s_div, s_ms, s_bad, s_rst, s_dsb
-            nonlocal kernel_mode, last_vpn, last_code_line, last_code_page
-            nonlocal gs_history
-            nonlocal l1d_acc, l1d_dem, l1d_useful, dtlb_acc, itlb_acc
-            nonlocal l1i_acc, l1i_dem, l1i_useful
-            nonlocal dsb_acc, dsb_dem, dsb_useful
-            nonlocal bst_br, bst_tk, bst_mis, bst_btbm
-            nonlocal pf_last_d, pf_last_i, next_hook, hook_on
-            ideal = self._ideal_cycles
-            n_i = c.instructions
-            n_k = c.kernel_instructions
-            n_ld = c.loads
-            n_st = c.stores
-            n_br = c.branches
-            uops_acc = c.uops
-            s_l1 = stalls[BE_L1]
-            s_ports = stalls[BE_PORTS]
-            s_div = stalls[BE_DIV]
-            s_ms = stalls[FE_MS]
-            s_bad = stalls[BAD_SPEC]
-            s_rst = stalls[FE_RESTEER]
-            s_dsb = stalls[FE_DSB_BW]
-            kernel_mode = self._kernel_mode
-            last_vpn = self._last_data_vpn
-            last_code_line = self._last_code_line
-            last_code_page = self._last_code_page
-            gs_history = gs._history
-            l1d_acc = l1d_st.accesses
-            l1d_dem = l1d_st.demand_accesses
-            l1d_useful = l1d_st.useful_prefetches
-            dtlb_acc = dtlb_st.accesses
-            itlb_acc = itlb_st.accesses
-            l1i_acc = l1i_st.accesses
-            l1i_dem = l1i_st.demand_accesses
-            l1i_useful = l1i_st.useful_prefetches
-            dsb_acc = dsb_st.accesses
-            dsb_dem = dsb_st.demand_accesses
-            dsb_useful = dsb_st.useful_prefetches
-            bst_br = bst.branches
-            bst_tk = bst.taken
-            bst_mis = bst.mispredicts
-            bst_btbm = bst.btb_misses
-            pf_last_d = l1d_pf._last_line
-            pf_last_i = l1i_pf._last_line
-            next_hook = self._next_hook_cycles
-            hook_on = next_hook != inf_f
-
-        # Narrow flush/reload pair for memory-op fallbacks: _op_mem
-        # cannot fire hooks, run external code or touch frontend/branch
-        # state, so only the D-side mirrors need to round-trip.
-        def flush_mem():
-            self._ideal_cycles = ideal
-            c.instructions = n_i
-            c.kernel_instructions = n_k
-            c.loads = n_ld
-            c.stores = n_st
-            c.uops = uops_acc
-            stalls[BE_L1] = s_l1
-            self._kernel_mode = kernel_mode
-            self._last_data_vpn = last_vpn
-            l1d_st.accesses = l1d_acc
-            l1d_st.demand_accesses = l1d_dem
-            l1d_st.useful_prefetches = l1d_useful
-            dtlb_st.accesses = dtlb_acc
-            l1d_pf._last_line = pf_last_d
-
-        def reload_mem():
-            nonlocal ideal, n_i, n_k, n_ld, n_st, uops_acc, s_l1
-            nonlocal last_vpn, l1d_acc, l1d_dem, l1d_useful, dtlb_acc
-            nonlocal pf_last_d
-            ideal = self._ideal_cycles
-            n_i = c.instructions
-            n_k = c.kernel_instructions
-            n_ld = c.loads
-            n_st = c.stores
-            uops_acc = c.uops
-            s_l1 = stalls[BE_L1]
-            last_vpn = self._last_data_vpn
-            l1d_acc = l1d_st.accesses
-            l1d_dem = l1d_st.demand_accesses
-            l1d_useful = l1d_st.useful_prefetches
-            dtlb_acc = dtlb_st.accesses
-            pf_last_d = l1d_pf._last_line
-
-        for i in range(start, n_ops):
-            kind = kinds[i]
-            if kind == 2:                            # OP_LOAD
-                line = lines[i]
-                if line == pf_last_d:
-                    # Tier-0: repeat access to the previous memory op's
-                    # line.  The micro-TLB filter matches (same page),
-                    # the entry sits at MRU (hit-promoted or freshly
-                    # filled by that op; no other path fills L1d) and
-                    # the prefetcher early-returns on a repeated line,
-                    # so the whole op is counters plus line flags.  The
-                    # tag check guards external invalidation between
-                    # consume calls.
-                    cb = l1d_sets[line & l1d_mask]
-                    if cb:
-                        entry = cb[-1]
-                        if entry[0] == line:
-                            n_i += 1
-                            if kernel_mode:
-                                n_k += 1
-                            uops_acc += 1
-                            ideal += inv_width
-                            n_ld += 1
-                            l1d_acc += 1
-                            l1d_dem += 1
-                            if entry[1] and not entry[2]:
-                                l1d_useful += 1
-                            entry[2] = True
-                            s_l1 += l1_hit_stall
-                            continue
-                vpn = line >> 6
-                tj = -2                              # micro-TLB hit
-                if vpn != last_vpn:
-                    tb = dtlb_sets[vpn & dtlb_mask]
-                    if tb and tb[-1] == vpn:
-                        tj = -3                      # MRU hit: no move
-                    else:
-                        tj = -1
-                        for j in range(len(tb) - 2, -1, -1):
-                            if tb[j] == vpn:
-                                tj = j
-                                break
-                if tj != -1:
-                    cb = l1d_sets[line & l1d_mask]
-                    hj = -1
-                    if cb:
-                        if cb[-1][0] == line:
-                            hj = -3                  # MRU hit: no move
-                        else:
-                            for j in range(len(cb) - 2, -1, -1):
-                                if cb[j][0] == line:
-                                    hj = j
-                                    break
-                    if hj != -1:
-                        # All-hit commit, replicating _op_mem's order.
-                        n_i += 1
-                        if kernel_mode:
-                            n_k += 1
-                        uops_acc += 1
-                        ideal += inv_width
-                        n_ld += 1
-                        if tj != -2:
-                            last_vpn = vpn
-                            dtlb_acc += 1
-                            if tj != -3:
-                                tb.append(tb.pop(tj))
-                        l1d_acc += 1
-                        l1d_dem += 1
-                        if hj == -3:
-                            entry = cb[-1]
-                        else:
-                            entry = cb[hj]
-                        if entry[1] and not entry[2]:
-                            l1d_useful += 1
-                        entry[2] = True
-                        if hj != -3 and l1d_lru:
-                            cb.append(cb.pop(hj))
-                        if line != pf_last_d:
-                            # NextLinePrefetcher.observe, inlined.
-                            pf_last_d = line
-                            nline = line + 1
-                            if nline >> 6 != vpn:
-                                l1d_pf_st.page_bounded += 1
-                            else:
-                                nb = l1d_sets[nline & l1d_mask]
-                                if not (nb and nb[-1][0] == nline):
-                                    for e in nb:
-                                        if e[0] == nline:
-                                            break
-                                    else:
-                                        naddr = nline << 6
-                                        if l1d_fetch is not None:
-                                            l1d_fetch(naddr)
-                                        l1d_fill(naddr, True)
-                                        l1d_pf_st.issued += 1
-                        s_l1 += l1_hit_stall
-                        continue
-                # Some probe missed: this op through the full model.
-                flush_mem()
-                op_mem(a0[i], False)
-                reload_mem()
-            elif kind == 3:                          # OP_STORE
-                line = lines[i]
-                if line == pf_last_d:
-                    cb = l1d_sets[line & l1d_mask]
-                    if cb:
-                        entry = cb[-1]
-                        if entry[0] == line:
-                            n_i += 1
-                            if kernel_mode:
-                                n_k += 1
-                            uops_acc += 1
-                            ideal += inv_width
-                            n_st += 1
-                            l1d_acc += 1
-                            l1d_dem += 1
-                            if entry[1] and not entry[2]:
-                                l1d_useful += 1
-                            entry[2] = True
-                            entry[3] = True
-                            continue
-                vpn = line >> 6
-                tj = -2
-                if vpn != last_vpn:
-                    tb = dtlb_sets[vpn & dtlb_mask]
-                    if tb and tb[-1] == vpn:
-                        tj = -3
-                    else:
-                        tj = -1
-                        for j in range(len(tb) - 2, -1, -1):
-                            if tb[j] == vpn:
-                                tj = j
-                                break
-                if tj != -1:
-                    cb = l1d_sets[line & l1d_mask]
-                    hj = -1
-                    if cb:
-                        if cb[-1][0] == line:
-                            hj = -3
-                        else:
-                            for j in range(len(cb) - 2, -1, -1):
-                                if cb[j][0] == line:
-                                    hj = j
-                                    break
-                    if hj != -1:
-                        n_i += 1
-                        if kernel_mode:
-                            n_k += 1
-                        uops_acc += 1
-                        ideal += inv_width
-                        n_st += 1
-                        if tj != -2:
-                            last_vpn = vpn
-                            dtlb_acc += 1
-                            if tj != -3:
-                                tb.append(tb.pop(tj))
-                        l1d_acc += 1
-                        l1d_dem += 1
-                        if hj == -3:
-                            entry = cb[-1]
-                        else:
-                            entry = cb[hj]
-                        if entry[1] and not entry[2]:
-                            l1d_useful += 1
-                        entry[2] = True
-                        entry[3] = True
-                        if hj != -3 and l1d_lru:
-                            cb.append(cb.pop(hj))
-                        if line != pf_last_d:
-                            pf_last_d = line
-                            nline = line + 1
-                            if nline >> 6 != vpn:
-                                l1d_pf_st.page_bounded += 1
-                            else:
-                                nb = l1d_sets[nline & l1d_mask]
-                                if not (nb and nb[-1][0] == nline):
-                                    for e in nb:
-                                        if e[0] == nline:
-                                            break
-                                    else:
-                                        naddr = nline << 6
-                                        if l1d_fetch is not None:
-                                            l1d_fetch(naddr)
-                                        l1d_fill(naddr, True)
-                                        l1d_pf_st.issued += 1
-                        continue
-                flush_mem()
-                op_mem(a0[i], True)
-                reload_mem()
-            elif kind == 0:                          # OP_BLOCK
-                line = lines[i]
-                last = line_ends[i]
-                if last == line == last_code_line:
-                    # DSB-resident single line: no frontend work.
-                    kernel_mode = kern_l[i]
-                    ni = a1[i]
-                    n_i += ni
-                    if kernel_mode:
-                        n_k += ni
-                    uops_acc += uops_l[i]
-                    ideal += ideal_l[i]
-                    if ports_on:
-                        s_ports += ports_l[i]
-                    if div_frac:
-                        s_div += div_l[i]
-                    if micro_frac:
-                        s_ms += ms_l[i]
-                    if hook_on:
-                        # Publish the stall mirrors, then evaluate the
-                        # hook threshold exactly as _op_block does
-                        # (same summation order over the bucket dict).
-                        stalls[BE_L1] = s_l1
-                        stalls[BE_PORTS] = s_ports
-                        stalls[BE_DIV] = s_div
-                        stalls[FE_MS] = s_ms
-                        stalls[BAD_SPEC] = s_bad
-                        stalls[FE_RESTEER] = s_rst
-                        stalls[FE_DSB_BW] = s_dsb
-                        if ideal + sum(stalls_vals) >= next_hook:
-                            flush()
-                            self._next_hook_cycles += \
-                                self.cycle_hook_interval
-                            self.cycle_hook(self)
-                            reload()
-                    if n_i >= limit_v:
-                        flush()
-                        return i + 1, True
-                    continue
-                # Pure probe of every new line: I-TLB (on page change),
-                # L1i, DSB.  Nothing is mutated until all lines hit.
-                ok = True
-                sim_last = last_code_line
-                sim_page = last_code_page
-                ln = line
-                while ln <= last:
-                    if ln != sim_last:
-                        sim_last = ln
-                        page = ln >> 6
-                        if page != sim_page:
-                            tb = itlb_sets[page & itlb_mask]
-                            if not tb or tb[-1] != page:
-                                for j in range(len(tb) - 2, -1, -1):
-                                    if tb[j] == page:
-                                        break
-                                else:
-                                    ok = False
-                                    break
-                            sim_page = page
-                        fb = l1i_sets[ln & l1i_mask]
-                        if not fb or fb[-1][0] != ln:
-                            for j in range(len(fb) - 2, -1, -1):
-                                if fb[j][0] == ln:
-                                    break
-                            else:
-                                ok = False
-                                break
-                        db = dsb_sets[ln & dsb_mask]
-                        if not db or db[-1][0] != ln:
-                            for j in range(len(db) - 2, -1, -1):
-                                if db[j][0] == ln:
-                                    break
-                            else:
-                                ok = False
-                                break
-                    ln += 1
-                if ok:
-                    # All-hit commit, replicating _op_block + _fetch
-                    # order per line.
-                    kernel_mode = kern_l[i]
-                    ni = a1[i]
-                    n_i += ni
-                    if kernel_mode:
-                        n_k += ni
-                    uops_acc += uops_l[i]
-                    ideal += ideal_l[i]
-                    ln = line
-                    while ln <= last:
-                        if ln == last_code_line:
-                            ln += 1
-                            continue
-                        last_code_line = ln
-                        page = ln >> 6
-                        if page != last_code_page:
-                            last_code_page = page
-                            tb = itlb_sets[page & itlb_mask]
-                            itlb_acc += 1
-                            if tb[-1] != page:
-                                for j in range(len(tb) - 2, -1, -1):
-                                    if tb[j] == page:
-                                        tb.append(tb.pop(j))
-                                        break
-                        fb = l1i_sets[ln & l1i_mask]
-                        l1i_acc += 1
-                        l1i_dem += 1
-                        entry = fb[-1]
-                        if entry[0] != ln:
-                            for j in range(len(fb) - 2, -1, -1):
-                                e = fb[j]
-                                if e[0] == ln:
-                                    if l1i_lru:
-                                        fb.append(fb.pop(j))
-                                    entry = e
-                                    break
-                        if entry[1] and not entry[2]:
-                            l1i_useful += 1
-                        entry[2] = True
-                        if ln != pf_last_i:
-                            # NextLinePrefetcher.observe, inlined.
-                            pf_last_i = ln
-                            nline = ln + 1
-                            if nline >> 6 != page:
-                                l1i_pf_st.page_bounded += 1
-                            else:
-                                nb = l1i_sets[nline & l1i_mask]
-                                if not (nb and nb[-1][0] == nline):
-                                    for e in nb:
-                                        if e[0] == nline:
-                                            break
-                                    else:
-                                        naddr = nline << 6
-                                        if l1i_fetch is not None:
-                                            l1i_fetch(naddr)
-                                        l1i_fill(naddr, True)
-                                        l1i_pf_st.issued += 1
-                        db = dsb_sets[ln & dsb_mask]
-                        dsb_acc += 1
-                        dsb_dem += 1
-                        entry = db[-1]
-                        if entry[0] != ln:
-                            for j in range(len(db) - 2, -1, -1):
-                                e = db[j]
-                                if e[0] == ln:
-                                    if dsb_lru:
-                                        db.append(db.pop(j))
-                                    entry = e
-                                    break
-                        if entry[1] and not entry[2]:
-                            dsb_useful += 1
-                        entry[2] = True
-                        ln += 1
-                    if ports_on:
-                        s_ports += ports_l[i]
-                    if div_frac:
-                        s_div += div_l[i]
-                    if micro_frac:
-                        s_ms += ms_l[i]
-                    if hook_on:
-                        stalls[BE_L1] = s_l1
-                        stalls[BE_PORTS] = s_ports
-                        stalls[BE_DIV] = s_div
-                        stalls[FE_MS] = s_ms
-                        stalls[BAD_SPEC] = s_bad
-                        stalls[FE_RESTEER] = s_rst
-                        stalls[FE_DSB_BW] = s_dsb
-                        if ideal + sum(stalls_vals) >= next_hook:
-                            flush()
-                            self._next_hook_cycles += \
-                                self.cycle_hook_interval
-                            self.cycle_hook(self)
-                            reload()
-                    if n_i >= limit_v:
-                        flush()
-                        return i + 1, True
-                    continue
-                # Some line missed: this op through the full model.
-                flush()
-                packed = a2[i]
-                op_block(a0[i], a1[i], packed & BLOCK_NBYTES_MASK,
-                         bool(packed >> BLOCK_KERNEL_SHIFT))
-                reload()
-                if n_i >= limit_v:
-                    return i + 1, True
-            elif kind == 1:                          # OP_BRANCH
-                pc = a0[i]
-                target = a1[i]
-                taken = a2[i]
-                n_i += 1
-                if kernel_mode:
-                    n_k += 1
-                n_br += 1
-                uops_acc += 1
-                ideal += inv_width
-                # BranchUnit.resolve, inlined (never falls back).
-                bst_br += 1
-                entry = lp_table.get(pc)
-                if entry is None:
-                    predicted = None
-                    if taken and target <= pc:
-                        # LoopPredictor.allocate (pc absent <=> entry
-                        # is None)
-                        if len(lp_table) >= lp_max:
-                            lp_table.pop(next(iter(lp_table)))
-                        entry = [0, 1, 0]
-                        lp_table[pc] = entry
-                else:
-                    if entry[2] < 2:
-                        predicted = None
-                    else:
-                        predicted = entry[1] + 1 < entry[0]
-                if entry is not None:
-                    # LoopPredictor.update
-                    if taken:
-                        entry[1] += 1
-                        if entry[0] and entry[1] > entry[0] + 1:
-                            entry[2] = 0
-                    else:
-                        trips = entry[1] + 1
-                        if entry[0] == trips:
-                            entry[2] = min(entry[2] + 1, 3)
-                        else:
-                            entry[0] = trips
-                            entry[2] = 0
-                        entry[1] = 0
-                key = pc >> 2
-                idx = (key ^ gs_history) & gs_mask
-                ctr = gs_table.get(idx, 1)
-                if predicted is None:
-                    predicted = ctr >= 2
-                if taken:
-                    if ctr < 3:
-                        gs_table[idx] = ctr + 1
-                elif ctr > 0:
-                    gs_table[idx] = ctr - 1
-                if gs_hist_bits:
-                    gs_history = ((gs_history << 1) | taken) \
-                        & gs_hist_mask
-                if taken:
-                    bst_tk += 1
-                    bb = btb_sets[key & btb_mask]
-                    if bb and bb[-1][0] == key:
-                        entry = bb[-1]
-                    else:
-                        entry = None
-                        for j in range(len(bb) - 2, -1, -1):
-                            if bb[j][0] == key:
-                                entry = bb.pop(j)
-                                bb.append(entry)
-                                break
-                    if entry is None:
-                        bst_btbm += 1
-                        s_rst += resteer_pen
-                        if len(bb) >= btb_ways:
-                            bb.pop(0)
-                        bb.append([key, target])
-                    else:
-                        if entry[1] != target:
-                            bst_btbm += 1
-                            s_rst += resteer_pen
-                            entry[1] = target
-                    s_dsb += taken_bubble
-                if predicted != taken:
-                    bst_mis += 1
-                    s_bad += mis_pen
-            elif kind == 4:                          # OP_EVENT
-                flush()
-                ev, payload = events[a0[i]]
-                if ev == EV_JIT_CODE_EMITTED or ev == EV_JIT_CODE_MOVED:
-                    self._on_jit_metadata(ev, payload)
-                if event_hook is not None:
-                    event_hook(ev, payload, self.cycles)
-                reload()
-            else:  # pragma: no cover - malformed trace
-                flush()
-                raise ValueError(f"unknown op kind {kind!r}")
-        flush()
         return n_ops, False
 
     # ------------------------------------------------------------------

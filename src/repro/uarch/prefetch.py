@@ -118,16 +118,5 @@ class NextLinePrefetcher:
             self.target.fill(next_addr, prefetch=True)
             self.stats.issued += 1
 
-    # -- vectorized batch probes (engine="vector") ---------------------
-    def batch_page_bounded(self, lines):
-        """Mask of lines whose next-line prefetch crosses a page.
-
-        Vectorized form of the page-boundary test in :meth:`observe`:
-        a line is page-bounded when its successor starts a new page, in
-        which case observe suppresses the prefetch (no fill, no probe).
-        """
-        lines_per_page = (1 << (self._page_shift - self._line_shift)) - 1
-        return (lines & lines_per_page) == lines_per_page
-
     def reset_stats(self) -> None:
         self.stats = PrefetchStats()

@@ -82,7 +82,6 @@ class Tlb:
         self._resident.add(vpn)
         bucket.append(vpn)
 
-    # -- vectorized batch probes (engine="vector") ---------------------
     def resident_vpns(self):
         """Sorted ``int64`` array of all resident VPNs (non-mutating)."""
         import numpy as np
@@ -90,21 +89,6 @@ class Tlb:
         out = np.fromiter(self._resident, dtype=np.int64, count=n)
         out.sort()
         return out
-
-    def batch_contains(self, vpns):
-        """Boolean hit mask for an ``int64`` array of VPNs.
-
-        Pure membership against the residency snapshot: no stats, no
-        LRU movement — the vectorized twin of the ``in self._resident``
-        check inside :meth:`access`.
-        """
-        import numpy as np
-        resident = self.resident_vpns()
-        if not len(resident):
-            return np.zeros(len(vpns), dtype=bool)
-        idx = np.minimum(np.searchsorted(resident, vpns),
-                         len(resident) - 1)
-        return resident[idx] == vpns
 
     def reset_stats(self) -> None:
         self.stats = TlbStats()

@@ -11,8 +11,9 @@ Two program families:
 * :class:`NativeProgram` — SPEC-style: one static code image, no runtime
   events, data in a pre-faulted native working set.
 
-Programs yield an *infinite* op stream (:meth:`ops`); the harness bounds
-execution by instruction count at the consuming side.
+Programs push an *infinite* op stream into trace buffers
+(``fill_buffer``); the harness bounds execution by instruction count at
+the consuming side.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.runtime.heap import HeapConfig
 from repro.runtime.jit import Method
 from repro.seeding import stable_seed
 from repro.trace import (EV_REQUEST_DONE, REGION_CODE_BASE,
-                         REGION_STACK_BASE, pulled)
+                         REGION_STACK_BASE)
 from repro.workloads.spec import SuiteName, WorkloadSpec
 
 _LINE = 64
@@ -263,19 +264,11 @@ class NativeProgram:
         for start, length in self.premap_ranges():
             vm.premap_range(start, length)
 
-    def ops(self):
-        """Infinite op stream."""
-        rng = self.rng
-        data = self.data
-        while True:
-            yield from self.code.walk(rng, 4096, model=data)
-
     def fill_buffer(self, buf, n_instructions: int) -> bool:
         """Push ~``n_instructions`` of ops into ``buf`` (never exhausts).
 
-        The batched twin of :meth:`ops` — same RNG call order, so the op
-        sequence is identical; only chunk boundaries differ (pushes stop
-        at walk-segment granularity instead of mid-segment).
+        Pushes whole 4096-instruction code walks, so the op sequence
+        does not depend on how it is chunked.
         """
         rng = self.rng
         data = self.data
@@ -363,12 +356,6 @@ class ManagedProgram:
         part of the phenomenon being measured)."""
         for start, length in self.premap_ranges():
             vm.premap_range(start, length)
-
-    def ops(self):
-        """Infinite op stream of work items (pull form of
-        :meth:`fill_buffer`; see :func:`repro.trace.pulled`)."""
-        while True:
-            yield from pulled(self._work_item_into)
 
     def _call_chain_into(self, buf, budget: int) -> None:
         """Execute a chain of method calls totalling ~``budget`` instrs."""

@@ -110,3 +110,56 @@ class TestWarmupSearch:
                                       window_instructions=15_000)
         assert not report.discarded_first
         assert len(report.measured) == 3
+
+
+#: Window-by-window reports the §III-A protocol produced when it still
+#: drove the core with a tuple generator (System.Runtime: 4 windows of
+#: 15k; Json: 20k warmup, then 3 windows of 15k; i9, seed 0).  Driving
+#: one TraceBufferStream across windows must reproduce them exactly.
+_SEED_RUNTIME_WINDOWS = (
+    WindowMeasurement(index=0, instructions=15002, cycles=46152.62503703715,
+                      cpi=3.07643147827204, l1i_mpki=4.866017864284762,
+                      llc_mpki=18.597520330622583, jit_started=5),
+    WindowMeasurement(index=1, instructions=15007,
+                      cycles=28522.771370370472, cpi=1.900631130163955,
+                      l1i_mpki=4.198040914240021,
+                      llc_mpki=6.730192576797495, jit_started=2),
+    WindowMeasurement(index=2, instructions=15003,
+                      cycles=31424.529444444554, cpi=2.0945497196856997,
+                      l1i_mpki=5.532226887955742,
+                      llc_mpki=6.731986935946144, jit_started=5),
+    WindowMeasurement(index=3, instructions=15001,
+                      cycles=28804.625296296424, cpi=1.9201803410636906,
+                      l1i_mpki=5.3996400239984, llc_mpki=5.599626691553897,
+                      jit_started=4),
+)
+_SEED_JSON_WINDOWS = (
+    WindowMeasurement(index=0, instructions=15000, cycles=50137.14228571445,
+                      cpi=3.3424761523809634, l1i_mpki=9.266666666666666,
+                      llc_mpki=22.666666666666668, jit_started=2),
+    WindowMeasurement(index=1, instructions=15000, cycles=48845.08342857156,
+                      cpi=3.256338895238104, l1i_mpki=8.6,
+                      llc_mpki=18.06666666666667, jit_started=3),
+    WindowMeasurement(index=2, instructions=15001,
+                      cycles=35667.990285714484, cpi=2.3777075052139516,
+                      l1i_mpki=7.932804479701353,
+                      llc_mpki=15.332311179254717, jit_started=1),
+)
+
+
+@pytest.mark.parametrize("engine", ["batched", "vector"])
+def test_protocol_reports_unchanged_on_stream_engines(engine, monkeypatch):
+    """repeated_runs (.NET) and measure_after_warmup (ASP.NET) give the
+    exact reports of the tuple-generator protocol on either engine."""
+    from repro.workloads.aspnet import aspnet_specs
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    m = get_machine("i9")
+    report = repeated_runs(spec_of("System.Runtime"), m, runs=4,
+                           window_instructions=15_000)
+    assert report == VarianceReport(windows=_SEED_RUNTIME_WINDOWS,
+                                    discarded_first=True)
+    json = next(s for s in aspnet_specs() if s.name == "Json")
+    report = measure_after_warmup(json, m, 20_000, windows=3,
+                                  window_instructions=15_000)
+    assert report == VarianceReport(windows=_SEED_JSON_WINDOWS,
+                                    discarded_first=False)

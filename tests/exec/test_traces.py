@@ -23,25 +23,39 @@ def _configs():
                           gen0_budget_bytes=gc.gen0_budget())
 
 
-class FakeProgram:
-    """Deterministic synthetic op source (10-instr block + load pairs)."""
+def fake_ops():
+    """Deterministic synthetic op stream (10-instr block + load pairs)."""
+    pc = 0x4000_0000
+    while True:
+        yield (OP_BLOCK, pc, 10, 48, False)
+        yield (OP_LOAD, 0xC000_0000 + (pc & 0xFFFF))
+        pc += 64
 
-    def ops(self):
-        pc = 0x4000_0000
-        while True:
-            yield (OP_BLOCK, pc, 10, 48, False)
-            yield (OP_LOAD, 0xC000_0000 + (pc & 0xFFFF))
-            pc += 64
+
+class FakeProgram:
+    """:func:`fake_ops` pushed through the buffer emitters."""
+
+    def __init__(self):
+        self._pc = 0x4000_0000
+
+    def fill_buffer(self, buf, n_instructions):
+        target = buf.n_instructions + n_instructions
+        while buf.n_instructions < target:
+            pc = self._pc
+            buf.block(pc, 10, 48)
+            buf.load(0xC000_0000 + (pc & 0xFFFF))
+            self._pc = pc + 64
+        return False
 
     def premap_ranges(self):
         return [(0x4000_0000, 0x4010_0000), (0xC000_0000, 0xC001_0000)]
 
 
-class FakeProgramPush(FakeProgram):
-    """Same stream through the push-style ``fill_buffer`` protocol."""
+class FakeProgramFromOps(FakeProgram):
+    """Same stream buffered from the tuple generator (``fill_from``)."""
 
     def __init__(self):
-        self._ops = self.ops()
+        self._ops = fake_ops()
 
     def fill_buffer(self, buf, n_instructions):
         return buf.fill_from(self._ops, n_instructions)
@@ -103,10 +117,12 @@ class TestEnsure:
         assert meta["n_instructions"] >= short * 4
 
     def test_push_and_pull_programs_record_same_stream(self, tmp_path):
+        """Ops pushed through the emitters and ops pulled from a tuple
+        generator through ``fill_from`` record the same stream."""
         store = TraceStore(tmp_path)
         ka, kb = _key(store), _key(store, seed=1)
         store.ensure(ka, 5_000, FakeProgram)
-        store.ensure(kb, 5_000, FakeProgramPush)
+        store.ensure(kb, 5_000, FakeProgramFromOps)
 
         def ops_of(key, n):
             ops = itertools.chain.from_iterable(
@@ -114,7 +130,7 @@ class TestEnsure:
             return list(itertools.islice(ops, n))
 
         assert ops_of(ka, 500) == ops_of(kb, 500) \
-            == list(itertools.islice(FakeProgram().ops(), 500))
+            == list(itertools.islice(fake_ops(), 500))
 
     def test_corrupt_meta_reads_as_miss(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -342,12 +358,12 @@ class TestArrayColumns:
         from repro.trace import TraceBuffer
         store = TraceStore(tmp_path)
         key = _key(store)
-        store.ensure(key, 2_000, FakeProgramPush)
+        store.ensure(key, 2_000, FakeProgramFromOps)
         (buf,) = list(store.replay(key))
         copy = _owned_copy(buf)
         assert copy is not buf
         assert copy.kinds.format == "B" and copy.a0.format == "q"
         assert list(copy.iter_ops()) == list(buf.iter_ops())
         fresh = TraceBuffer()
-        FakeProgramPush().fill_buffer(fresh, 100)
+        FakeProgramFromOps().fill_buffer(fresh, 100)
         assert _owned_copy(fresh) is fresh

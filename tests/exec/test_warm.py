@@ -15,6 +15,8 @@ from repro.uarch.machine import get_machine
 from repro.workloads.dotnet import dotnet_category_specs
 from repro.workloads.program import build_program
 
+from tests.opstream import program_ops
+
 FID = Fidelity(warmup_instructions=6_000, measure_instructions=10_000)
 
 
@@ -23,7 +25,7 @@ def record_workload_trace(tmp_path, n_ops=4000):
                 if s.name == "System.Runtime")
     prog = build_program(spec, seed=4)
     path = tmp_path / "w.trace"
-    record(iter(itertools.islice(prog.ops(), n_ops)), path)
+    record(iter(itertools.islice(program_ops(prog), n_ops)), path)
     return path
 
 

@@ -1,9 +1,13 @@
-"""Differential tests: the batched engine is bit-identical to legacy.
+"""Differential tests: every engine and every op source is bit-identical.
 
-The batched trace engine (SoA chunks + ``Core.consume_stream``) is only
-allowed to be *faster* than the tuple-at-a-time interpreter — never
-different.  These tests drive both engines over every suite (micro,
-ASP.NET, SPEC) plus the ablation flags, and require exact equality of
+The reference is the Python engine (``Core.consume_buffer`` through
+``consume_stream(engine="batched")``) fed by the program's own push
+stream in production-sized chunks.  The native kernel is only allowed
+to be *faster* than it — never different — and so is every other way
+of delivering the same ops: tuples re-buffered through ``fill_from``,
+small chunks, trace-store replay, mmap decode, warm-cache reuse.  These
+tests run over every suite (micro, ASP.NET, SPEC) plus the ablation
+flags, and require exact equality of
 
 * every counter and stall bucket (floats compared bitwise via ``==``),
 * the complete microarchitectural state (cache/TLB set contents and
@@ -11,8 +15,9 @@ ASP.NET, SPEC) plus the ablation flags, and require exact equality of
 * the tracer event stream (kind, payload, cycle stamps), and
 * the Top-Down profile and sampler output at the run level.
 
-Chunk boundaries are semantics-free: the batched runs here use a chunk
-size (4096) much smaller than production (65536) on the same streams.
+Chunk boundaries are semantics-free: the candidate runs here use a
+chunk size (4096) much smaller than production (65536) on the same
+streams.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from repro.workloads.aspnet import aspnet_specs
 from repro.workloads.dotnet import dotnet_category_specs
 from repro.workloads.program import build_program
 from repro.workloads.speccpu import speccpu_specs
+
+from tests.opstream import program_ops
 
 WARMUP = 15_000
 MEASURE = 25_000
@@ -122,19 +129,21 @@ CASES = [
                          ids=[c[0] + ("+" + next(iter(c[1]), "") if c[1]
                                       else "") for c in CASES])
 def test_core_state_identical(name, kw, engine):
-    """Warm + measure through both engines; diff the entire core."""
+    """Warm + measure the reference and ``engine`` on the program's ops
+    re-buffered from tuples in small chunks; diff the entire core."""
     machine = get_machine("i9")
     spec = _spec_of(name)
 
     core_a, prog_a, ev_a = _build(spec, machine, **kw)
-    ops = prog_a.ops()
-    core_a.consume(ops, max_instructions=WARMUP)
+    ref = TraceBufferStream(filler=prog_a.fill_buffer)
+    core_a.consume_stream(ref, max_instructions=WARMUP)
     core_a.reset_stats()
     ev_a.clear()
-    na = core_a.consume(ops, max_instructions=MEASURE)
+    na = core_a.consume_stream(ref, max_instructions=MEASURE)
 
     core_b, prog_b, ev_b = _build(spec, machine, **kw)
-    stream = TraceBufferStream(ops=prog_b.ops(), chunk_instructions=4096)
+    stream = TraceBufferStream(ops=program_ops(prog_b, 1000),
+                               chunk_instructions=4096)
     core_b.consume_stream(stream, max_instructions=WARMUP, engine=engine)
     core_b.reset_stats()
     ev_b.clear()
@@ -149,33 +158,26 @@ def test_core_state_identical(name, kw, engine):
 
 
 @pytest.mark.parametrize("engine", ["batched", "vector"])
-def test_run_workload_engines_agree(engine):
-    """run_workload(engine=...) parity including the sampler hook path."""
+def test_run_workload_engines_agree(engine, tmp_path):
+    """run_workload(engine=...) parity including the sampler hook path,
+    against the reference replaying the same stream from a trace store
+    (so the batched case also checks replay against generation)."""
+    from repro.exec.traces import TraceStore
     from repro.harness.runner import Fidelity, run_workload
     machine = get_machine("i9")
     fid = Fidelity.test()
+    store = TraceStore(tmp_path)
     for name in ("System.Runtime", "Json"):
         spec = _spec_of(name)
-        a = run_workload(spec, machine, fid, engine="legacy",
-                         sampling=True, sample_interval=2e-4)
+        run_workload(spec, machine, fid, trace_store=store)    # record
+        a = run_workload(spec, machine, fid, engine="batched",
+                         trace_store=store, sampling=True,
+                         sample_interval=2e-4)
         b = run_workload(spec, machine, fid, engine=engine,
                          sampling=True, sample_interval=2e-4)
         assert a.counters == b.counters
         assert a.topdown == b.topdown
         assert a.samples.columns == b.samples.columns
-
-
-def test_env_toggle_selects_legacy(monkeypatch):
-    """REPRO_LEGACY_CONSUME=1 keeps the old path selectable and equal."""
-    from repro.harness.runner import Fidelity, run_workload
-    machine = get_machine("i9")
-    fid = Fidelity.test()
-    spec = _spec_of("System.Runtime")
-    default = run_workload(spec, machine, fid)
-    monkeypatch.setenv("REPRO_LEGACY_CONSUME", "1")
-    legacy = run_workload(spec, machine, fid)
-    assert default.counters == legacy.counters
-    assert default.topdown == legacy.topdown
 
 
 def test_env_toggle_selects_vector(monkeypatch):
@@ -190,7 +192,9 @@ def test_env_toggle_selects_vector(monkeypatch):
     batched = run_workload(spec, machine, fid, engine="batched")
     monkeypatch.setenv("REPRO_ENGINE", "vector")
     assert resolve_engine(None) == "vector"
-    assert resolve_engine("legacy") == "legacy"
+    assert resolve_engine("batched") == "batched"
+    with pytest.raises(ValueError, match="unknown engine"):
+        resolve_engine("legacy")            # the tuple engine is gone
     vector = run_workload(spec, machine, fid)
     assert batched.counters == vector.counters
     assert batched.topdown == vector.topdown
@@ -200,24 +204,26 @@ def test_env_toggle_selects_vector(monkeypatch):
 
 
 def test_trace_store_replay_identical(tmp_path):
-    """Cold record, warm replay, and legacy all agree; replay skips
-    generation on the second run."""
+    """Cold record, warm replay and direct generation all agree; replay
+    skips generation on the second run."""
     from repro.exec.traces import TraceStore
     from repro.harness.runner import Fidelity, run_workload
     machine = get_machine("i9")
     fid = Fidelity.test()
     spec = _spec_of("Json")
     store = TraceStore(tmp_path)
-    legacy = run_workload(spec, machine, fid, engine="legacy")
-    cold = run_workload(spec, machine, fid, trace_store=store)
+    direct = run_workload(spec, machine, fid, engine="batched")
+    cold = run_workload(spec, machine, fid, trace_store=store,
+                        engine="batched")
     assert len(list(store.keys())) == 1
-    warm = run_workload(spec, machine, fid, trace_store=store)
-    assert cold.counters == legacy.counters == warm.counters
-    assert cold.topdown == legacy.topdown == warm.topdown
+    warm = run_workload(spec, machine, fid, trace_store=store,
+                        engine="batched")
+    assert cold.counters == direct.counters == warm.counters
+    assert cold.topdown == direct.topdown == warm.topdown
     vec = run_workload(spec, machine, fid, trace_store=store,
                        engine="vector")
-    assert vec.counters == legacy.counters
-    assert vec.topdown == legacy.topdown
+    assert vec.counters == direct.counters
+    assert vec.topdown == direct.topdown
 
 
 @pytest.mark.parametrize("name,kw", CASES,
@@ -229,13 +235,13 @@ def test_mmap_replay_state_identical(tmp_path, name, kw):
     Records each suite's op stream once, then replays it through both
     read paths into fresh cores and diffs every piece of observable
     state — the zero-copy/madvise plumbing must be invisible."""
-    from repro.perf.trace_io import record, replay_buffers
+    from repro.perf.trace_io import record_program, replay_buffers
 
     machine = get_machine("i9")
     spec = _spec_of(name)
     core_r, prog_r, _ = _build(spec, machine, **kw)
     path = tmp_path / "t.trace"
-    record(prog_r.ops(), path, max_instructions=WARMUP + MEASURE + 4096)
+    record_program(prog_r, path, WARMUP + MEASURE + 4096)
 
     consumed, states, event_logs = [], [], []
     for use_mmap in (False, True):
@@ -310,18 +316,36 @@ def test_warm_model_reuse_identical(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("engine", ["batched", "vector"])
-def test_multicore_engines_agree(engine):
-    """Vectorized buffer-level coloring == per-tuple _color_ops.
+def test_multicore_engines_agree(engine, monkeypatch):
+    """Vectorized buffer-level coloring == coloring one op at a time.
 
-    ``vector`` is accepted here too: shared-LLC cores make the native
-    kernel's dispatch delegate to batched, so the run must still agree.
+    The reference runs the Python engine with
+    ``TraceBuffer.color_private`` replaced by a per-op loop over the
+    tuples; ``engine`` runs the production mask.
     """
     from repro.harness.runner import Fidelity, run_multicore
+    from repro.trace import OP_LOAD, OP_STORE, TraceBuffer
+
+    def color_per_op(buf, spans, color):
+        ops = []
+        for op in buf.iter_ops():
+            if op[0] in (OP_LOAD, OP_STORE) and any(
+                    lo <= op[1] < hi for lo, hi in spans):
+                op = (op[0], op[1] + color)
+            ops.append(op)
+        fresh = TraceBuffer()
+        fresh.extend(ops)
+        buf.kinds, buf.a0, buf.a1, buf.a2, buf.events = (
+            fresh.kinds, fresh.a0, fresh.a1, fresh.a2, fresh.events)
+        buf._vcols = None
+
     machine = get_machine("i9")
     fid = Fidelity(warmup_instructions=8_000, measure_instructions=15_000)
     spec = _spec_of("Plaintext")
-    res_a, td_a, cnt_a = run_multicore(spec, machine, 2, fid,
-                                       engine="legacy")
+    with monkeypatch.context() as m:
+        m.setattr(TraceBuffer, "color_private", color_per_op)
+        res_a, td_a, cnt_a = run_multicore(spec, machine, 2, fid,
+                                           engine="batched")
     res_b, td_b, cnt_b = run_multicore(spec, machine, 2, fid,
                                        engine=engine)
     assert cnt_a == cnt_b

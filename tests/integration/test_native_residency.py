@@ -13,8 +13,12 @@ boundary:
   cycle hooks at random intervals,
 * ``vm.premap_range`` between calls,
 * a switch to the batched engine and back,
-* pickle/unpickle mid-life, and explicit syncs.
+* pickle/unpickle mid-life, and explicit syncs,
 
+on a drawn machine preset with drawn L1i/L1d/L2/LLC geometries (sets
+and ways the kernel models), a drawn replacement policy per cache and a
+drawn data footprint (4 KiB to 4 MiB, so small caches see hits at every
+recency position as well as evictions).
 Three cores run every sequence: the batched engine (the reference), a
 vector core whose full state is diffed (``_state`` syncs it) after every
 step, and a vector core that is never synced except by the steps
@@ -25,6 +29,7 @@ reads while attached, and its full state must match at the end.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import pickle
 import weakref
@@ -38,7 +43,9 @@ from test_vector_engine import _ops, needs_native
 from repro.kernel.vm import VirtualMemory
 from repro.trace import TraceBufferStream
 from repro.uarch import native
+from repro.uarch.cache import ReplacementPolicy
 from repro.uarch.machine import get_machine
+from repro.uarch.memory import DramModel
 from repro.uarch.pipeline import Core, WorkloadHints
 
 _DATA = 0x2000_0000                       # _ops' data region
@@ -99,12 +106,46 @@ _steps = st.lists(st.one_of(
 ), min_size=1, max_size=10)
 
 
+#: (log2 sets, ways) of one cache level, or None for the preset's own;
+#: ways need not be a power of two
+_geometry = st.one_of(st.none(),
+                      st.tuples(st.integers(0, 6), st.integers(1, 20)))
+_GEOMETRY_LEVELS = ("l1i", "l1d", "l2", "llc")
+
+
+def _machine(preset: str = "i9", geometry=()):
+    """``preset`` with the simulated L1i/L1d/L2/LLC resized to
+    ``geometry`` (one ``(log2 sets, ways)`` pair or None per level)."""
+    m = get_machine(preset)
+    over = {}
+    for name, level in zip(_GEOMETRY_LEVELS, geometry):
+        if level is None:
+            continue
+        sets_log2, ways = level
+        scale = m.l1_scale if name in ("l1i", "l1d") else m.capacity_scale
+        over[name] = dataclasses.replace(
+            getattr(m, name), ways=ways,
+            size_bytes=(64 * ways << sets_log2) * scale)
+    return dataclasses.replace(m, **over)
+
+
+def _set_policies(core, policies) -> None:
+    """One replacement policy each for L1i, L1d, L2, LLC and DSB."""
+    caches = (core.l1i, core.l1d, core.l2, core.llc, core.dsb)
+    for cache, policy in zip(caches, policies):
+        cache.policy = policy
+        cache._lru = policy == ReplacementPolicy.LRU
+        cache._evict_head = policy != ReplacementPolicy.RANDOM
+
+
 class _Lane:
     """One core driven through the step sequence on one engine."""
 
-    def __init__(self, engine: str, ops, chunk: int) -> None:
+    def __init__(self, engine: str, ops, chunk: int, machine=None,
+                 policies=()) -> None:
         self.engine = engine
-        self.core = Core(get_machine("i9"), VirtualMemory())
+        self.core = Core(machine or get_machine("i9"), VirtualMemory())
+        _set_policies(self.core, policies)
         self.events = []
         self.hook_log = []
         self.consumed = []
@@ -149,12 +190,20 @@ def _diff(a: dict, b: dict) -> dict:
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2 ** 32 - 1), n_ops=st.integers(1, 2500),
-       chunk=st.sampled_from((64, 700, 4096)), steps=_steps)
-def test_resident_images_match_batched(seed, n_ops, chunk, steps):
-    ops = _ops(n_ops, seed=seed)
-    ref = _Lane("batched", ops, chunk)
-    synced = _Lane("vector", ops, chunk)
-    resident = _Lane("vector", ops, chunk)
+       data_span=st.sampled_from((1 << 12, 1 << 16, 1 << 22)),
+       chunk=st.sampled_from((64, 700, 4096)), steps=_steps,
+       preset=st.sampled_from(("xeon", "i9", "arm")),
+       geometry=st.tuples(*[_geometry] * len(_GEOMETRY_LEVELS)),
+       policies=st.lists(st.sampled_from(ReplacementPolicy.ALL),
+                         min_size=5, max_size=5))
+def test_resident_images_match_batched(seed, n_ops, data_span, chunk, steps,
+                                       preset, geometry, policies):
+    ops = _ops(n_ops, seed=seed, data_span=data_span)
+    machine = _machine(preset, geometry)
+    ref = _Lane("batched", ops, chunk, machine, policies)
+    synced = _Lane("vector", ops, chunk, machine, policies)
+    resident = _Lane("vector", ops, chunk, machine, policies)
+    assert native.nativizable(synced.core)
     for step in steps:
         for lane in (ref, synced, resident):
             lane.step(step)
@@ -237,12 +286,12 @@ def test_hook_that_leaves_core_unmodeled_finishes_in_python(monkeypatch):
     monkeypatch.setattr(native, "_warned", set())   # warn again here
     ops = _ops(2500, seed=53)
     lanes = {}
-    for engine in ("legacy", "vector"):
+    for engine in ("batched", "vector"):
         core = Core(get_machine("i9"), VirtualMemory())
         log = []
         core.set_cycle_hook(make_hook(log), 300.0)
-        if engine == "legacy":
-            core.consume(iter(ops))
+        if engine == "batched":
+            core.consume_stream(TraceBufferStream(ops=iter(ops)))
         else:
             before = dict(native.stats)
             stream = TraceBufferStream(ops=iter(ops),
@@ -254,9 +303,9 @@ def test_hook_that_leaves_core_unmodeled_finishes_in_python(monkeypatch):
             assert core._native_image is None
             assert core.last_engine == "batched"
         lanes[engine] = (_state(core), log)
-    assert len(lanes["legacy"][1]) > 3
-    assert lanes["vector"][1] == lanes["legacy"][1]
-    diffs = _diff(lanes["legacy"][0], lanes["vector"][0])
+    assert len(lanes["batched"][1]) > 3
+    assert lanes["vector"][1] == lanes["batched"][1]
+    diffs = _diff(lanes["batched"][0], lanes["vector"][0])
     assert not diffs, f"state diverged: {dict(list(diffs.items())[:4])}"
 
 
@@ -380,30 +429,40 @@ def test_multicore_hook_that_leaves_one_core_unmodeled(monkeypatch):
     _assert_multicore_equal(runs)
 
 
+class _UnmodeledDram(DramModel):
+    """A DRAM model the kernel does not model (picklable: module level)."""
+
+    __slots__ = ()
+
+
 @needs_native
-def test_multicore_with_one_legacy_stream_falls_back_per_quantum():
-    """One op-iterable stream keeps the run off the native session: the
-    trace-buffer cores attach through ``consume_stream`` and share an
-    LLC group, and the legacy core syncs that group before each of its
-    quanta.  Pickling the legacy core or the shared LLC while the group
-    is attached syncs it first.  Bit-identical to batched."""
+def test_multicore_one_unmodeled_core_falls_back_per_quantum(monkeypatch):
+    """One core the kernel does not model keeps the run off the native
+    session: the other cores attach through ``consume_stream`` and share
+    an LLC group, and the unmodeled core syncs that group before each of
+    its quanta on the Python engine.  Pickling that core or the shared
+    LLC while the group is attached syncs it first.  Bit-identical to
+    batched."""
     def factory(core_id):
         ops = _ops(16000, seed=80 + core_id, data_span=1 << 24)
-        if core_id == 1:
-            return iter(ops), WorkloadHints()
         return (TraceBufferStream(ops=iter(ops), chunk_instructions=4096),
                 WorkloadHints())
 
+    def setup(runner):
+        runner.cores[1].dram.__class__ = _UnmodeledDram
+
+    monkeypatch.setattr(native, "_warned", set())
     before = dict(native.stats)
-    runs = _multicore_runs(factory, 3)
+    with pytest.warns(native.NativeFallbackWarning):
+        runs = _multicore_runs(factory, 3, setup)
     assert native.stats["sessions"] == before["sessions"]
     vec = runs["vector"]["runner"]
-    assert vec.cores[1].last_engine == "legacy"
+    assert vec.cores[1].last_engine == "batched"
     assert vec.cores[2].last_engine == "vector"
     assert vec.llc._native_group == [vec.cores[2]._native_image]
-    legacy = pickle.loads(pickle.dumps(vec.cores[1]))
+    unmodeled = pickle.loads(pickle.dumps(vec.cores[1]))
     assert vec.llc._native_group is None
-    assert _state(legacy) == _state(vec.cores[1])
+    assert _state(unmodeled) == _state(vec.cores[1])
     vec.cores[0].consume_stream(vec._streams[0], 500, engine="vector")
     assert vec.llc._native_group is not None
     llc = pickle.loads(pickle.dumps(vec.llc))

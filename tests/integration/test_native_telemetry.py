@@ -82,7 +82,8 @@ def test_suite_counters_match_core_stats(name):
 
     core_v, prog_v, ev_v = _build(_spec_of(name), machine)
     before = dict(native.stats)
-    stream = TraceBufferStream(ops=prog_v.ops(), chunk_instructions=4096)
+    stream = TraceBufferStream(filler=prog_v.fill_buffer,
+                               chunk_instructions=4096)
     nv = core_v.consume_stream(stream, max_instructions=limit,
                                engine="vector")
     delta = _delta(before)
@@ -96,7 +97,8 @@ def test_suite_counters_match_core_stats(name):
 
     # Batched engine over the same spec/limit is the reference.
     core_b, prog_b, ev_b = _build(_spec_of(name), machine)
-    stream_b = TraceBufferStream(ops=prog_b.ops(), chunk_instructions=4096)
+    stream_b = TraceBufferStream(filler=prog_b.fill_buffer,
+                                 chunk_instructions=4096)
     nb = core_b.consume_stream(stream_b, max_instructions=limit,
                                engine="batched")
     assert nv == nb
@@ -285,7 +287,8 @@ def test_vm_hash_build_counter(tmp_path):
     after a run makes the next export reuse it (not counted)."""
     core, prog, _ = _build(_spec_of("System.Runtime"), get_machine("i9"))
     before = dict(native.stats)
-    stream = TraceBufferStream(ops=prog.ops(), chunk_instructions=4096)
+    stream = TraceBufferStream(filler=prog.fill_buffer,
+                               chunk_instructions=4096)
     core.consume_stream(stream, max_instructions=5_000, engine="vector")
     assert native.stats["vm_hash_builds"] - before["vm_hash_builds"] == 1
     before = dict(native.stats)

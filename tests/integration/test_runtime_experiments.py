@@ -8,6 +8,8 @@ from repro.uarch.machine import get_machine
 from repro.workloads.aspnet import aspnet_specs
 from repro.workloads.dotnet import dotnet_category_specs
 
+from tests.opstream import program_ops
+
 MACHINE = get_machine("i9")
 FID = Fidelity(warmup_instructions=60_000, measure_instructions=120_000)
 MB = 2 ** 20
@@ -150,7 +152,7 @@ class TestGcCacheBenefit:
                 heap_config=HeapConfig(max_heap_bytes=gc.max_heap_bytes,
                                        gen0_budget_bytes=gc.gen0_budget()),
                 gc_config=gc, compaction_enabled=compaction)
-            for _ in itertools.islice(prog.ops(), 150_000):
+            for _ in itertools.islice(program_ops(prog), 150_000):
                 pass
             return prog.clr.live_set.fragmentation
 

@@ -1,8 +1,8 @@
 """Vector-engine edge cases: chunking, limits, fallbacks, growth.
 
 tests/integration/test_batched_equivalence.py proves the vector engine
-bit-identical to legacy on real workload streams; this file attacks the
-seams that real streams rarely stress deterministically:
+bit-identical to the Python engine on real workload streams; this file
+attacks the seams that real streams rarely stress deterministically:
 
 * ops split across chunk boundaries at every offset (chunk size 1),
 * an instruction limit landing inside a vectorized span, then resuming,
@@ -15,9 +15,9 @@ seams that real streams rarely stress deterministically:
 * virtual-memory hash growth mid-run (first-touch floods),
 * non-default replacement policies (FIFO, RANDOM's deterministic LCG).
 
-Every test drives the same op list through the legacy interpreter and
-``consume_stream(engine="vector")`` and diffs the complete core state
-via the equivalence harness's ``_state``.
+Every test drives the same op list through the Python engine (one
+production-sized chunk) and ``consume_stream(engine="vector")`` and
+diffs the complete core state via the equivalence harness's ``_state``.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _ops(n: int = 3000, seed: int = 1, data_span: int = 1 << 22):
 
 def _run_pair(ops, *, chunk: int = 4096, limits=(None,), mutate=None,
               stream_factory=None):
-    """Drive ``ops`` through legacy and vector; assert identical state.
+    """Drive ``ops`` through batched and vector; assert identical state.
 
     ``limits`` is a sequence of absolute instruction limits applied as
     successive ``consume`` calls (``None`` = run to exhaustion), which
@@ -78,26 +78,22 @@ def _run_pair(ops, *, chunk: int = 4096, limits=(None,), mutate=None,
     """
     machine = get_machine("i9")
     results = []
-    for engine in ("legacy", "vector"):
+    for engine in ("batched", "vector"):
         core = Core(machine, VirtualMemory())
         events = []
         core.event_hook = lambda k, p, c, _e=events: _e.append((k, p, c))
         if mutate is not None:
             mutate(core)
-        consumed = []
-        if engine == "legacy":
-            it = iter(ops)
-            for lim in limits:
-                consumed.append(core.consume(it, max_instructions=lim))
+        if engine == "batched":
+            stream = TraceBufferStream(ops=iter(ops))
+        elif stream_factory is not None:
+            stream = stream_factory()
         else:
-            if stream_factory is not None:
-                stream = stream_factory()
-            else:
-                stream = TraceBufferStream(ops=iter(ops),
-                                           chunk_instructions=chunk)
-            for lim in limits:
-                consumed.append(core.consume_stream(
-                    stream, max_instructions=lim, engine="vector"))
+            stream = TraceBufferStream(ops=iter(ops),
+                                       chunk_instructions=chunk)
+        consumed = [core.consume_stream(stream, max_instructions=lim,
+                                        engine=engine)
+                    for lim in limits]
         results.append((consumed, _state(core), events))
     (ca, sa, ea), (cb, sb, eb) = results
     assert ca == cb
@@ -273,17 +269,13 @@ def _run_hooked(ops, engine, interval, make_hook, chunk=4096,
     core = Core(get_machine("i9"), VirtualMemory())
     log = []
     core.set_cycle_hook(make_hook(log), interval)
-    consumed = []
-    if engine == "legacy":
-        it = iter(ops)
-        for lim in limits:
-            consumed.append(core.consume(it, max_instructions=lim))
+    if engine == "batched":
+        stream = TraceBufferStream(ops=iter(ops))
     else:
         stream = TraceBufferStream(ops=iter(ops), chunk_instructions=chunk)
-        for lim in limits:
-            consumed.append(core.consume_stream(stream,
-                                                max_instructions=lim,
-                                                engine=engine))
+    consumed = [core.consume_stream(stream, max_instructions=lim,
+                                    engine=engine)
+                for lim in limits]
     return consumed, _state(core), log
 
 
@@ -307,7 +299,7 @@ def _mutating_hook(log):
 def _hook_case(ops, interval, make_hook, chunk=4096, limits=(None,)):
     """Legacy vs vector with a hook armed: consumption counts, final
     state, and the hook's observations must all be identical."""
-    a = _run_hooked(ops, "legacy", interval, make_hook, chunk, limits)
+    a = _run_hooked(ops, "batched", interval, make_hook, chunk, limits)
     before = dict(native.stats)
     b = _run_hooked(ops, "vector", interval, make_hook, chunk, limits)
     assert a[0] == b[0]
@@ -348,7 +340,7 @@ def test_hook_fires_exactly_on_chunk_boundary():
 @needs_native
 def test_hook_with_limits_resumes_exactly():
     """Limits interleave with hook firings across consume calls; the
-    legacy hook-before-limit ordering must be preserved."""
+    Python engine's hook-before-limit ordering must be preserved."""
     _hook_case(_ops(1500, seed=24), 150.0, _observing_hook,
                limits=(1, 17, 900, 901, None))
 
@@ -357,7 +349,7 @@ def test_hook_with_limits_resumes_exactly():
                                   "chunk-boundary"])
 def test_hook_parity_with_native_disabled(monkeypatch, case):
     """REPRO_NATIVE=0: the same hooked runs take the batched path and
-    stay bit-identical to legacy."""
+    stay bit-identical to the Python engine."""
     monkeypatch.setenv("REPRO_NATIVE", "0")
     saved = native._lib, native._lib_resolved
     native._lib, native._lib_resolved = None, False
@@ -458,7 +450,6 @@ def test_premapped_ranges_vector_matches_batched():
 def test_default_engine_is_vector(monkeypatch):
     from repro.harness.runner import resolve_engine
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_LEGACY_CONSUME", raising=False)
     assert resolve_engine(None) == "vector"
 
 
@@ -467,7 +458,6 @@ def test_default_run_reports_vector(monkeypatch):
     from repro.harness.runner import Fidelity, run_workload
     from test_batched_equivalence import _spec_of
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_LEGACY_CONSUME", raising=False)
     r = run_workload(_spec_of("System.Runtime"), get_machine("i9"),
                      Fidelity.test())
     assert r.engine == "vector"
@@ -482,7 +472,6 @@ def test_default_run_falls_back_loudly(monkeypatch, tmp_path):
     from repro.obs.metrics import labeled
     from test_batched_equivalence import _spec_of
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_LEGACY_CONSUME", raising=False)
     spec, machine, fid = _spec_of("Json"), get_machine("i9"), Fidelity.test()
     ref = run_workload(spec, machine, fid, engine="batched")
 

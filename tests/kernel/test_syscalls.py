@@ -6,10 +6,12 @@ from repro.kernel.syscalls import SyscallKind, SyscallModel
 from repro.trace import (OP_BLOCK, OP_BRANCH, OP_LOAD, OP_STORE,
                          REGION_KERNEL_CODE_BASE)
 
+from tests.opstream import pull
+
 
 def run_emit(model, kind, payload=0, ubuf=0x7F000000):
-    return list(model.emit(kind, random.Random(1), payload_bytes=payload,
-                           user_buffer=ubuf))
+    return pull(model.emit_into, kind, random.Random(1),
+                payload_bytes=payload, user_buffer=ubuf)
 
 
 def count_instructions(ops):

@@ -9,6 +9,8 @@ from repro.trace import OP_BLOCK, OP_BRANCH, OP_LOAD, OP_STORE
 from repro.uarch.machine import i9_9980xe
 from repro.uarch.pipeline import Core
 
+from tests.opstream import consume
+
 
 def run_small_core():
     core = Core(i9_9980xe(), VirtualMemory())
@@ -18,7 +20,7 @@ def run_small_core():
         ops.append((OP_LOAD, 0x8000_0000 + (i * 64) % 2048))
         ops.append((OP_STORE, 0x8000_1000))
         ops.append((OP_BRANCH, 0x4000_0020, 0x4000_0000, i % 2 == 0))
-    core.consume(ops)
+    consume(core, ops)
     return core
 
 

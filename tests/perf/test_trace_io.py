@@ -14,6 +14,8 @@ from repro.trace import (OP_BLOCK, OP_BRANCH, OP_EVENT, OP_LOAD, OP_STORE,
 from repro.workloads.dotnet import dotnet_category_specs
 from repro.workloads.program import build_program
 
+from tests.opstream import consume, program_ops
+
 SAMPLE_OPS = [
     (OP_BLOCK, 0x4000_0000, 10, 48, False),
     (OP_LOAD, 0x8000_0000),
@@ -58,7 +60,7 @@ class TestRoundTrip:
         spec = next(s for s in dotnet_category_specs()
                     if s.name == "System.Runtime")
         prog = build_program(spec, seed=4)
-        ops = list(itertools.islice(prog.ops(), 5000))
+        ops = list(itertools.islice(program_ops(prog), 5000))
         path = tmp_path / "w.trace"
         record(iter(ops), path)
         replayed = list(replay(path))
@@ -73,14 +75,14 @@ class TestRoundTrip:
         spec = next(s for s in dotnet_category_specs()
                     if s.name == "System.Linq")
         prog = build_program(spec, seed=4)
-        ops = list(itertools.islice(prog.ops(), 8000))
+        ops = list(itertools.islice(program_ops(prog), 8000))
         path = tmp_path / "w.trace"
         record(iter(ops), path)
 
         def run(op_iter):
             core = Core(i9_9980xe(), VirtualMemory())
             core.set_hints(spec.hints())
-            core.consume(op_iter)
+            consume(core, op_iter)
             return (core.counts.instructions, core.counts.loads,
                     core.l1d.stats.demand_misses,
                     core.branch_unit.stats.mispredicts)
@@ -116,7 +118,7 @@ class TestEventSideChannel:
         from repro.workloads.aspnet import aspnet_specs
         spec = next(s for s in aspnet_specs() if s.name == "Json")
         prog = build_program(spec, seed=7)
-        ops = list(itertools.islice(prog.ops(), 20000))
+        ops = list(itertools.islice(program_ops(prog), 20000))
         path = tmp_path / "w.trace"
         record(iter(ops), path)
 
@@ -125,7 +127,7 @@ class TestEventSideChannel:
             core.set_hints(spec.hints())
             events = []
             core.event_hook = lambda k, p, c: events.append((k, p, c))
-            core.consume(op_iter)
+            consume(core, op_iter)
             return events, (core.counts.instructions, core.counts.loads,
                             core.l1d.stats.demand_misses,
                             core.itlb.l1.stats.walks)

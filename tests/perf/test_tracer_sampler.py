@@ -11,6 +11,8 @@ from repro.trace import (OP_BLOCK, OP_EVENT, OP_LOAD, EV_GC_TRIGGERED,
 from repro.uarch.machine import i9_9980xe
 from repro.uarch.pipeline import Core
 
+from tests.opstream import consume
+
 
 class TestTracer:
     def test_records_events_with_timestamps(self):
@@ -53,7 +55,7 @@ class TestTracer:
         core = Core(i9_9980xe(), VirtualMemory())
         tr = LttngTracer(core.machine.max_freq_hz)
         core.event_hook = tr.hook
-        core.consume([(OP_EVENT, EV_JIT_STARTED, 1),
+        consume(core, [(OP_EVENT, EV_JIT_STARTED, 1),
                       (OP_BLOCK, 0x4000_0000, 10, 48, False)])
         assert tr.count_of(EV_JIT_STARTED) == 1
 
@@ -68,7 +70,7 @@ class TestSampler:
             ops.append((OP_BLOCK, 0x4000_0000 + (i % 32) * 64, 10, 48,
                         False))
             ops.append((OP_LOAD, 0x8000_0000 + (i * 64) % (1 << 16)))
-        core.consume(ops)
+        consume(core, ops)
         return sampler.finish(), core
 
     def test_produces_multiple_buckets(self):

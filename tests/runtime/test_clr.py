@@ -10,6 +10,8 @@ from repro.trace import (OP_EVENT, EV_CONTENTION, EV_EXCEPTION,
                          EV_GC_ALLOCATION_TICK, EV_GC_TRIGGERED,
                          EV_JIT_STARTED)
 
+from tests.opstream import pull
+
 
 def make_clr(**kw):
     defaults = dict(long_lived_count=200, long_lived_slot=32,
@@ -56,31 +58,31 @@ class TestMethodCalls:
     def test_first_call_jits(self):
         clr = make_clr()
         m = add_method(clr)
-        ops = list(clr.enter_method(m))
+        ops = pull(clr.enter_method_into, m)
         assert events_of(ops, EV_JIT_STARTED)
         assert m.region is not None
 
     def test_second_call_no_jit(self):
         clr = make_clr()
         m = add_method(clr)
-        list(clr.enter_method(m))
-        ops = list(clr.enter_method(m))
+        pull(clr.enter_method_into, m)
+        ops = pull(clr.enter_method_into, m)
         assert not events_of(ops, EV_JIT_STARTED)
 
     def test_call_count_tracked(self):
         clr = make_clr()
         m = add_method(clr)
         for _ in range(3):
-            list(clr.enter_method(m))
+            pull(clr.enter_method_into, m)
         assert m.call_count == 3
 
     def test_tiering_rejits_at_threshold(self):
         clr = make_clr()
         m = add_method(clr)
-        list(clr.enter_method(m))
+        pull(clr.enter_method_into, m)
         first_base = m.region.base
         m.call_count = clr.jit.TIER1_THRESHOLD
-        ops = list(clr.enter_method(m))
+        ops = pull(clr.enter_method_into, m)
         assert events_of(ops, EV_JIT_STARTED)
         assert m.region.base != first_base
 
@@ -90,61 +92,61 @@ class TestChurn:
         clr = make_clr(churn_per_call=5.0)
         m = add_method(clr)
         assert clr.live_set.fragmentation == 1.0
-        list(clr.enter_method(m))
+        pull(clr.enter_method_into, m)
         assert clr.live_set.fragmentation > 1.0
 
     def test_fractional_churn_accumulates(self):
         clr = make_clr(churn_per_call=0.5)
         m = add_method(clr)
-        list(clr.enter_method(m))
+        pull(clr.enter_method_into, m)
         frag1 = clr.live_set.fragmentation
-        list(clr.enter_method(m))
+        pull(clr.enter_method_into, m)
         assert clr.live_set.fragmentation >= frag1
 
 
 class TestAllocationAndGc:
     def test_allocation_emits_ticks(self):
         clr = make_clr()
-        ops = list(clr.allocate_batch(3000, mean_size=64))
+        ops = pull(clr.allocate_batch_into, 3000, mean_size=64)
         assert events_of(ops, EV_GC_ALLOCATION_TICK)
 
     def test_gc_triggered_when_budget_exceeded(self):
         clr = make_clr()
-        ops = list(clr.allocate_batch(2000, mean_size=64))
+        ops = pull(clr.allocate_batch_into, 2000, mean_size=64)
         assert events_of(ops, EV_GC_TRIGGERED)
         assert not clr.heap.needs_collection
 
     def test_gc_promotes_churned_objects_out_of_nursery(self):
         clr = make_clr(churn_per_call=50.0)
         m = add_method(clr)
-        list(clr.enter_method(m))
+        pull(clr.enter_method_into, m)
         assert clr.live_set.scattered_indices(clr.heap.gen0_base)
-        list(clr.allocate_batch(2000, mean_size=64))
+        pull(clr.allocate_batch_into, 2000, mean_size=64)
         assert not clr.live_set.scattered_indices(clr.heap.gen0_base)
 
     def test_compaction_disabled_ablation(self):
         clr = make_clr(churn_per_call=50.0, compaction_enabled=False)
         m = add_method(clr)
-        list(clr.enter_method(m))
+        pull(clr.enter_method_into, m)
         frag = clr.live_set.fragmentation
-        list(clr.allocate_batch(2000, mean_size=64))
+        pull(clr.allocate_batch_into, 2000, mean_size=64)
         assert clr.live_set.fragmentation == frag
 
 
 class TestExceptionalFlow:
     def test_exception_event_and_code(self):
         clr = make_clr()
-        ops = list(clr.throw_exception())
+        ops = pull(clr.throw_exception_into)
         assert events_of(ops, EV_EXCEPTION)
         assert clr.stats.exceptions_thrown == 1
 
     def test_contention_event(self):
         clr = make_clr()
-        ops = list(clr.contend_lock())
+        ops = pull(clr.contend_lock_into)
         assert events_of(ops, EV_CONTENTION)
 
     def test_contention_uses_futex_when_syscalls_present(self):
         clr = make_clr(syscalls=SyscallModel())
-        ops = list(clr.contend_lock())
+        ops = pull(clr.contend_lock_into)
         kernel_blocks = [op for op in ops if op[0] == 0 and op[4]]
         assert kernel_blocks

@@ -9,6 +9,8 @@ from repro.runtime.heap import HeapConfig, LongLivedSet, ManagedHeap
 from repro.trace import (OP_BLOCK, OP_EVENT, OP_LOAD, OP_STORE,
                          EV_GC_COMPLETED, EV_GC_TRIGGERED)
 
+from tests.opstream import pull
+
 MB = 1024 * 1024
 
 
@@ -19,7 +21,7 @@ def make_gc(flavor=WORKSTATION, max_heap=2000 * MB):
 
 
 def run_collect(gc, heap, live, compact=True):
-    return list(gc.collect(heap, live, compact=compact))
+    return pull(gc.collect_into, heap, live, compact=compact)
 
 
 class TestBudgets:

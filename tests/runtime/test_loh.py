@@ -5,6 +5,10 @@ import itertools
 from repro.runtime.heap import HeapConfig, ManagedHeap
 from repro.trace import OP_STORE
 
+from tests.opstream import pull
+
+from tests.opstream import program_ops
+
 
 def make_heap():
     return ManagedHeap(HeapConfig())
@@ -66,7 +70,7 @@ class TestClrLargeAllocation:
 
     def test_alloc_large_zero_fills(self):
         clr = self.make_clr()
-        ops = list(clr.alloc_large(8192))
+        ops = pull(clr.alloc_large_into, 8192)
         stores = [op for op in ops if op[0] == OP_STORE]
         assert len(stores) == 8192 // 64
         addr, size = clr._last_loh
@@ -75,17 +79,17 @@ class TestClrLargeAllocation:
 
     def test_free_large_enables_reuse(self):
         clr = self.make_clr()
-        list(clr.alloc_large(8192))
+        pull(clr.alloc_large_into, 8192)
         first = clr._last_loh
         clr.free_large(*first)
-        list(clr.alloc_large(8192))
+        pull(clr.alloc_large_into, 8192)
         assert clr._last_loh[0] == first[0]
 
     def test_allocate_batch_routes_big_objects_to_loh(self):
         clr = self.make_clr()
         # Mean far above the LOH threshold: essentially every allocation
         # is large.
-        list(clr.allocate_batch(10, mean_size=50_000))
+        pull(clr.allocate_batch_into, 10, mean_size=50_000)
         assert clr.heap.stats.loh_allocations >= 5
 
 
@@ -96,7 +100,7 @@ class TestAspnetLohUsage:
         spec = next(s for s in aspnet_specs()
                     if s.name == "MvcJsonNetOutput2M")
         prog = build_program(spec, seed=1)
-        for _ in itertools.islice(prog.ops(), 250_000):
+        for _ in itertools.islice(program_ops(prog), 250_000):
             pass
         stats = prog.clr.heap.stats
         assert stats.loh_allocations >= 1
@@ -109,6 +113,6 @@ class TestAspnetLohUsage:
         from repro.workloads.program import build_program
         spec = next(s for s in aspnet_specs() if s.name == "Json")
         prog = build_program(spec, seed=1)
-        for _ in itertools.islice(prog.ops(), 60_000):
+        for _ in itertools.islice(program_ops(prog), 60_000):
             pass
         assert prog.clr.heap.stats.loh_allocations <= 2

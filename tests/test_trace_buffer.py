@@ -6,6 +6,8 @@ from repro.trace import (OP_BLOCK, OP_BRANCH, OP_EVENT, OP_LOAD, OP_STORE,
                          EV_GC_TRIGGERED, EV_JIT_CODE_EMITTED, TraceBuffer,
                          TraceBufferStream)
 
+from tests.opstream import stream_ops
+
 OPS = [
     (OP_BLOCK, 0x4000_0000, 10, 48, False),
     (OP_LOAD, 0xC000_0040),
@@ -26,7 +28,7 @@ class TestTraceBuffer:
     def test_push_emitters_match_fill_from(self):
         """The push API and the tuple adapter must build identical
         buffers — workload generators use the former, trace replay and
-        the legacy adapter the latter."""
+        the test builders the latter."""
         pushed = TraceBuffer()
         pushed.block(0x4000_0000, 10, 48, False)
         pushed.load(0xC000_0040)
@@ -58,24 +60,13 @@ class TestTraceBuffer:
         with pytest.raises(ValueError, match="unknown op kind"):
             TraceBuffer().fill_from(iter([(99, 0)]), None)
 
-    def test_seal_precomputes_lines(self):
-        buf = TraceBuffer()
-        buf.extend(OPS)
-        assert buf.seal() is buf
-        assert list(buf.lines) == [a >> 6 for a in buf.a0]
-        # line_ends: last byte of the op's span (blocks span n_bytes).
-        assert buf.line_ends[0] == (0x4000_0000 + 48 - 1) >> 6
-        lines = buf.lines
-        buf.seal()                       # idempotent
-        assert buf.lines is lines
-
     def test_color_private_offsets_only_mem_in_span(self):
         buf = TraceBuffer()
         buf.extend(OPS)
-        buf.seal()
+        buf._vcols = (len(buf), None)     # a cached kernel column set
         color = 1 << 40
         buf.color_private([(0xC000_0000, 0xD000_0000)], color)
-        assert buf.lines is None          # seal invalidated
+        assert buf._vcols is None         # invalidated with the column
         out = list(buf.iter_ops())
         assert out[1] == (OP_LOAD, 0xC000_0040 + color)
         assert out[2] == (OP_STORE, 0xC000_0080 + color)
@@ -100,14 +91,14 @@ class TestTraceBufferStream:
     def test_chunks_ops_and_replays_all(self):
         many = OPS * 30
         stream = TraceBufferStream(ops=iter(many), chunk_instructions=64)
-        assert list(stream.iter_ops()) == many
+        assert stream_ops(stream) == many
 
     def test_resume_mid_chunk(self):
         stream = TraceBufferStream(ops=iter(OPS), chunk_instructions=1024)
         buf = stream.buffer()
         assert buf is not None and stream.pos == 0
         stream.pos = 3                    # consumer stopped mid-chunk
-        assert list(stream.iter_ops()) == OPS[3:]
+        assert stream_ops(stream) == OPS[3:]
 
     def test_filler_source(self):
         ops_iter = iter(OPS * 10)
@@ -116,7 +107,7 @@ class TestTraceBufferStream:
             return buf.fill_from(ops_iter, n_instructions)
 
         stream = TraceBufferStream(filler=filler, chunk_instructions=32)
-        assert list(stream.iter_ops()) == OPS * 10
+        assert stream_ops(stream) == OPS * 10
 
     def test_buffers_source_applies_transform(self):
         chunks = []
@@ -129,7 +120,7 @@ class TestTraceBufferStream:
             buffers=iter(chunks),
             transform=lambda b: b.color_private(
                 [(0xC000_0000, 0xD000_0000)], color))
-        out = list(stream.iter_ops())
+        out = stream_ops(stream)
         assert out[1] == (OP_LOAD, 0xC000_0040 + color)
         assert [o for o in out if o[0] == OP_BLOCK] \
             == [o for o in OPS if o[0] == OP_BLOCK]

@@ -8,6 +8,8 @@ from repro.uarch.machine import arm_server, i9_9980xe, xeon_e5_2620v4
 from repro.uarch.pipeline import Core, WorkloadHints
 from repro.uarch.topdown import profile_core
 
+from tests.opstream import consume
+
 ADDR = st.integers(min_value=0, max_value=(1 << 44) - 1)
 
 OPS = st.one_of(
@@ -23,7 +25,7 @@ OPS = st.one_of(
 def run_stream(ops, machine=None, hints=None):
     core = Core(machine or i9_9980xe(), VirtualMemory())
     core.set_hints(hints or WorkloadHints())
-    core.consume(list(ops))
+    consume(core, list(ops))
     return core
 
 
@@ -84,7 +86,7 @@ def test_property_reset_stats_idempotent_books(ops):
     assert core.cycles == 0.0
     assert all(v == 0.0 for v in core.stalls.values())
     # The same stream still runs after a reset (state stays coherent).
-    core.consume(list(ops))
+    consume(core, list(ops))
     assert core.counts.instructions > 0
 
 

@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 from repro.codegen import CodeRegion, MixProfile
 from repro.trace import OP_BLOCK, OP_BRANCH, OP_LOAD, OP_STORE
 
+from tests.opstream import pull
+
 
 def walk_ops(region, n=2000, seed=1):
     rng = random.Random(seed)
     counter = iter(range(10 ** 9))
-    return list(region.walk(rng, n,
-                            load_addr=lambda: 0x1000 + next(counter) % 64,
-                            store_addr=lambda: 0x2000))
+    return pull(region.walk_into, rng, n,
+                load_addr=lambda: 0x1000 + next(counter) % 64,
+                store_addr=lambda: 0x2000)
 
 
 class TestMixProfile:
@@ -106,7 +108,8 @@ class TestWalk:
     def test_kernel_flag_propagates(self):
         r = CodeRegion(0x1000, 8192, seed=1)
         rng = random.Random(0)
-        ops = list(r.walk(rng, 500, lambda: 0, lambda: 0, is_kernel=True))
+        ops = pull(r.walk_into, rng, 500, lambda: 0, lambda: 0,
+                   is_kernel=True)
         assert all(op[4] for op in ops if op[0] == OP_BLOCK)
 
     def test_loop_blocks_repeat_backedge(self):
@@ -120,7 +123,7 @@ class TestWalk:
     def test_entry_parameter_honored(self):
         r = CodeRegion(0x1000, 8192, seed=1)
         rng = random.Random(0)
-        ops = list(r.walk(rng, 50, lambda: 0, lambda: 0, entry=0))
+        ops = pull(r.walk_into, rng, 50, lambda: 0, lambda: 0, entry=0)
         first_block = next(op for op in ops if op[0] == OP_BLOCK)
         assert first_block[1] == r._pc[0]
 
@@ -131,7 +134,8 @@ class TestWalk:
     def test_chunk_excursions_reach_high_addresses(self):
         r = CodeRegion(0x100_0000, 16 * 1024 * 1024, seed=1)
         rng = random.Random(0)
-        pcs = [op[1] for op in r.walk(rng, 200_000, lambda: 0, lambda: 0)
+        pcs = [op[1] for op in pull(r.walk_into, rng, 200_000,
+                                    lambda: 0, lambda: 0)
                if op[0] == OP_BLOCK]
         assert max(pcs) >= 0x100_0000 + 1024 * 1024
 
@@ -142,7 +146,7 @@ class TestWalk:
 def test_property_walk_yields_valid_ops(size, seed):
     r = CodeRegion(0x1000, size, seed=seed)
     rng = random.Random(seed)
-    for op in r.walk(rng, 400, lambda: 0x7000, lambda: 0x8000):
+    for op in pull(r.walk_into, rng, 400, lambda: 0x7000, lambda: 0x8000):
         assert op[0] in (OP_BLOCK, OP_BRANCH, OP_LOAD, OP_STORE)
         if op[0] == OP_BLOCK:
             assert op[2] >= 0 and op[3] > 0

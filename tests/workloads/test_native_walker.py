@@ -185,19 +185,6 @@ def test_native_walk_crosses_mt_refill():
     assert _model_state(models[0]) == _model_state(models[1])
 
 
-def test_pull_walk_is_push_walk_as_tuples():
-    region = CodeRegion(0x4000_0000, 64 * 1024, seed=3)
-    spec = _SPECS["Json"]
-    rngs = random.Random(4), random.Random(4)
-    models = [DataModel(spec, r, None, 0x7F00_0000, 0xB000_0000)
-              for r in rngs]
-    buf = TraceBuffer()
-    region.walk_into(buf, rngs[0], 3000, model=models[0])
-    assert list(region.walk(rngs[1], 3000, model=models[1])) \
-        == list(buf.iter_ops())
-    assert rngs[0].getstate() == rngs[1].getstate()
-
-
 def test_empty_live_set_raises_like_the_reference():
     """An empty live set is an IndexError on both walkers, never a read
     past the array."""

@@ -13,6 +13,8 @@ from repro.workloads.program import (AspNetProgram, DataModel,
                                      build_program)
 from repro.workloads.speccpu import speccpu_specs
 
+from tests.opstream import program_ops
+
 VALID_OPS = (OP_BLOCK, OP_BRANCH, OP_LOAD, OP_STORE, OP_EVENT)
 
 
@@ -24,13 +26,13 @@ def spec_by_name(name):
 
 
 def take_ops(program, n_ops):
-    return list(itertools.islice(program.ops(), n_ops))
+    return list(itertools.islice(program_ops(program), n_ops))
 
 
 def take_instructions(program, n_instr):
     out = []
     n = 0
-    for op in program.ops():
+    for op in program_ops(program):
         out.append(op)
         if op[0] == OP_BLOCK:
             n += op[2]
